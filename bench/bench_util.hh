@@ -82,16 +82,13 @@ initObs(int argc = 0, char **argv = nullptr)
 /**
  * Build the study's PerfParams from bench arguments.
  *
- * Recognizes `--gemm-mode={analytic,tile_sim,cycle_sim}` and
- * `--gemm-cache={on,off}` (fatal on any other value) and leaves every
- * other parameter at its default, so the DSE benches can sweep with
- * the closed-form roofline, the wave-level tile simulator, or the
- * event-driven cycle simulator, with or without the sweep-scoped
- * cross-design GEMM cache. The default (analytic) reproduces the
- * committed CSVs byte for byte; simulated output is byte-identical
- * cache-on vs cache-off (the cache stores exact result bits —
- * docs/PERF.md). The error message comes from perf::gemmModeNames()
- * so the CLI and the benches always advertise the same mode list.
+ * Recognizes `--gemm-mode={analytic,tile_sim,cycle_sim}` (fatal on
+ * any other value) and leaves every other parameter at its default,
+ * so the DSE benches can sweep with the closed-form roofline, the
+ * wave-level tile simulator, or the event-driven cycle simulator. The
+ * default (analytic) reproduces the committed CSVs byte for byte. The
+ * error message comes from perf::gemmModeNames() so the CLI and the
+ * benches always advertise the same mode list.
  */
 inline perf::PerfParams
 perfParamsFromArgs(int argc, char **argv)
@@ -103,37 +100,9 @@ perfParamsFromArgs(int argc, char **argv)
             fatalIf(!perf::parseGemmMode(value, &params.gemmMode),
                     "unknown --gemm-mode '" + value + "' (expected " +
                         perf::gemmModeNames() + ")");
-        } else if (std::strncmp(argv[i], "--gemm-cache=", 13) == 0) {
-            const std::string value = argv[i] + 13;
-            fatalIf(value != "on" && value != "off",
-                    "unknown --gemm-cache '" + value +
-                        "' (expected on or off)");
-            params.cacheTileSimGemms = value == "on";
         }
     }
     return params;
-}
-
-/** Whether @p flag appears verbatim among the bench arguments. */
-inline bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
-}
-
-/**
- * Whether `--legacy-sim` was passed: run the serving benches on the
- * reference simulation path (binary-heap event queue, mutex+map cost
- * memos) instead of the calendar-queue/flat-memo fast path. Both
- * paths write byte-identical CSVs — CI diffs them to prove it.
- */
-inline bool
-legacySim(int argc, char **argv)
-{
-    return hasFlag(argc, argv, "--legacy-sim");
 }
 
 /**

@@ -29,9 +29,7 @@
  * Deterministic: re-running writes byte-identical CSV. The three
  * fleet sizings are independent, so they fan out over
  * common::ThreadPool into index-addressed row slots emitted in fleet
- * order — byte-identical for every ACS_THREADS value. `--legacy-sim`
- * reruns everything on the reference heap-queue/map-memo simulation
- * path (same bytes; CI diffs the two).
+ * order — byte-identical for every ACS_THREADS value.
  */
 
 #include "bench_util.hh"
@@ -96,16 +94,12 @@ main(int argc, char **argv)
             "no Oct-2023-compliant 2400 TPP design found");
     const dse::EvaluatedDesign compliant = dse::minTbt(compliant_set);
 
-    const bool legacy = bench::legacySim(argc, argv);
-    const sim::MemoEngine memo = legacy
-                                     ? sim::MemoEngine::LEGACY_MAP
-                                     : sim::MemoEngine::FLAT;
     const sim::IterationCostModel a100_cost =
-        study.makeCostModel(a100.config, workload, memo);
+        study.makeCostModel(a100.config, workload);
     const sim::IterationCostModel h20_cost =
-        study.makeCostModel(h20.config, workload, memo);
+        study.makeCostModel(h20.config, workload);
     const sim::IterationCostModel compliant_cost =
-        study.makeCostModel(compliant.config, workload, memo);
+        study.makeCostModel(compliant.config, workload);
 
     sim::FleetDemand demand;
     demand.ratePerS = 4.0;
@@ -156,12 +150,6 @@ main(int argc, char **argv)
             sim::DisaggPoolSpec decode;
             decode.cost = f.decode;
             decode.hourlyCostUsdPerReplica = f.decodeHourly;
-            if (legacy) {
-                prefill.scheduler.queueEngine =
-                    sim::QueueEngine::LEGACY_HEAP;
-                decode.scheduler.queueEngine =
-                    sim::QueueEngine::LEGACY_HEAP;
-            }
 
             const serve::DisaggPercentilePlan plan =
                 serve::planDisaggFleetPercentile(
@@ -207,14 +195,10 @@ main(int argc, char **argv)
     // 0.0 seconds, and the per-member arithmetic is the replica's.
     const std::vector<sim::TraceRequest> schedule = {
         {0.0, 512, 32}, {1000.0, 512, 32}, {2000.0, 512, 32}};
-    sim::SchedulerConfig sched;
-    if (legacy)
-        sched.queueEngine = sim::QueueEngine::LEGACY_HEAP;
-
     const auto mono_trace =
         sim::TraceWorkload::fixedSchedule(schedule);
-    const sim::ReplicaMetrics mono =
-        sim::simulateReplica(a100_cost, sched, *mono_trace);
+    const sim::ReplicaMetrics mono = sim::simulateReplica(
+        a100_cost, sim::SchedulerConfig{}, *mono_trace);
 
     sim::ClusterConfig ccfg;
     ccfg.pools.resize(2);
@@ -225,8 +209,6 @@ main(int argc, char **argv)
     ccfg.pools[1].role = sim::PoolRole::DECODE;
     ccfg.pools[1].cost = &a100_cost;
     ccfg.kvTransfer = sim::KvTransferConfig::free();
-    if (legacy)
-        ccfg.queueEngine = sim::QueueEngine::LEGACY_HEAP;
     const auto disagg_trace =
         sim::TraceWorkload::fixedSchedule(schedule);
     const sim::ClusterMetrics disagg =

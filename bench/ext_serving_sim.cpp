@@ -15,9 +15,7 @@
  * cell is an independent core::servingPointAt call against its
  * candidate's shared cost model — and rows are emitted in flattened
  * index order, so the CSV is byte-identical for every ACS_THREADS
- * value and to the pre-parallel serial loop. `--legacy-sim` reruns
- * the grid on the reference heap-queue/map-memo path (same bytes;
- * CI diffs the two).
+ * value and to the pre-parallel serial loop.
  */
 
 #include "bench_util.hh"
@@ -74,13 +72,6 @@ main(int argc, char **argv)
     scfg.slo.ttftP99MaxS = 5.0;
     scfg.slo.tbtP99MaxS = 0.300;
 
-    const bool legacy = bench::legacySim(argc, argv);
-    if (legacy)
-        scfg.scheduler.queueEngine = sim::QueueEngine::LEGACY_HEAP;
-    const sim::MemoEngine memo = legacy
-                                     ? sim::MemoEngine::LEGACY_MAP
-                                     : sim::MemoEngine::FLAT;
-
     // One shared cost model per candidate: every cell of its row
     // block hits the same read-mostly memo. Heap-held because the
     // model is neither copyable nor movable (it owns a mutex).
@@ -88,7 +79,7 @@ main(int argc, char **argv)
     costs.reserve(candidates.size());
     for (const auto &c : candidates)
         costs.emplace_back(new sim::IterationCostModel(
-            study.makeCostModel(c.config, workload, memo)));
+            study.makeCostModel(c.config, workload)));
 
     // Flatten the candidate x rate grid into index-addressed cells;
     // collecting them in flattened order below keeps the CSV

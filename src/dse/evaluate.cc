@@ -372,8 +372,8 @@ DesignEvaluator::evaluateStream(const SweepSpace &space,
     // task exist. Partials are padded to cache lines: absorb() writes
     // its partial on every design, and unpadded adjacent StreamStats
     // would false-share, which is measurable at streaming rates
-    // (results/BENCH_gemm.json's TILE_SIM rows stream > 100k
-    // designs/s through here).
+    // (warm-cache TILE_SIM sweeps stream > 100k designs/s through
+    // here).
     struct alignas(64) PaddedStreamStats
     {
         StreamStats stats;

@@ -261,8 +261,8 @@ SweepSpace table5Space();
  * grids — L1 in 32 KiB steps, L2 in 2 MiB steps, HBM bandwidth in
  * 0.05 TB/s steps, device bandwidth in 25 GB/s steps. ~1.7 x 10^8
  * feasible designs: three-plus orders of magnitude finer than Table 3,
- * sized for AdaptiveSearch (exhaustive enumeration at the streaming
- * rate would take most of an hour; see results/BENCH_dse.json).
+ * sized for AdaptiveSearch (exhaustive enumeration takes minutes
+ * where the search takes under a second; see docs/DSE.md).
  */
 SweepSpace fineSpace(double tpp_target = 4800.0);
 

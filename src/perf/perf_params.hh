@@ -85,8 +85,8 @@ enum class TileSimEngine
 
     /**
      * The original per-tile wave walk, O(total tiles). Retained as the
-     * reference for the property suite and the `microbench
-     * --gemm-only` baseline; never the right choice for sweeps.
+     * reference for the property suite; never the right choice for
+     * sweeps.
      */
     LEGACY_WALK,
 };
@@ -113,8 +113,7 @@ enum class CycleEngine
     /**
      * The naive per-cycle tick: visit every cycle from 0 and poll all
      * arrays, ~10^3-10^4x slower. Retained as the reference for the
-     * property suite and the `microbench --cycle-only` baseline; never
-     * the right choice for sweeps.
+     * property suite; never the right choice for sweeps.
      */
     LEGACY_TICK,
 };
@@ -274,9 +273,10 @@ struct PerfParams
      * Let sweep drivers (dse::DesignEvaluator's evaluateAll,
      * evaluateAllParallel, and evaluateStream) hoist a sweep-scoped
      * GemmCache automatically when gemmCache is null and gemmMode is
-     * a simulating one (TILE_SIM or CYCLE_SIM). Off is for
-     * A/B verification (`--gemm-cache=off` on the DSE benches):
-     * outputs are bit-identical either way, only the speed differs.
+     * a simulating one (TILE_SIM or CYCLE_SIM). Off is for A/B
+     * verification in tests (GemmCacheSweep.*,
+     * CycleCache.SweepCacheOnOffByteIdentical): outputs are
+     * bit-identical either way, only the speed differs.
      */
     bool cacheTileSimGemms = true;
 };

@@ -99,16 +99,17 @@ LengthDistribution::validate() const
 void
 WorkloadSpec::validate() const
 {
+    // Negated comparisons, so that NaN fails every check.
     fatalIf(closedLoopClients < 0,
             "WorkloadSpec: closedLoopClients must be >= 0");
     if (openLoop()) {
-        fatalIf(arrivalRatePerS <= 0.0,
+        fatalIf(!(arrivalRatePerS > 0.0),
                 "WorkloadSpec: open-loop arrivalRatePerS must be > 0");
     } else {
-        fatalIf(thinkTimeS < 0.0,
+        fatalIf(!(thinkTimeS >= 0.0),
                 "WorkloadSpec: thinkTimeS must be >= 0");
     }
-    fatalIf(horizonS <= 0.0, "WorkloadSpec: horizonS must be > 0");
+    fatalIf(!(horizonS > 0.0), "WorkloadSpec: horizonS must be > 0");
     promptLen.validate();
     outputLen.validate();
 }

@@ -14,6 +14,17 @@
 #include "policy/arch_policy.hh"
 
 namespace acs {
+namespace model {
+
+/** Print a workload's name, not the struct's bytes (a heap pointer). */
+void
+PrintTo(const GraphicsWorkload &workload, std::ostream *os)
+{
+    *os << workload.name;
+}
+
+} // namespace model
+
 namespace {
 
 using model::GraphicsWorkload;

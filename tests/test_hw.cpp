@@ -99,6 +99,13 @@ struct InvalidField
     void (*mutate)(HardwareConfig &);
 };
 
+/** Print the field's name, not the struct's bytes (a pointer pair). */
+void
+PrintTo(const InvalidField &field, std::ostream *os)
+{
+    *os << field.name;
+}
+
 class ValidateRejects : public ::testing::TestWithParam<InvalidField>
 {};
 

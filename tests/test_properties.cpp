@@ -65,6 +65,14 @@ struct Quadrant
     bool regulated;
 };
 
+/** Print the quadrant's fields; its bytes include unset padding. */
+void
+PrintTo(const Quadrant &q, std::ostream *os)
+{
+    *os << "tpp" << q.tpp << "_bw" << q.bw << "_"
+        << (q.regulated ? "regulated" : "unregulated");
+}
+
 class Oct2022Quadrants : public ::testing::TestWithParam<Quadrant>
 {};
 

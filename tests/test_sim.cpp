@@ -188,6 +188,14 @@ TEST(Workload, Validation)
     w = WorkloadSpec{};
     w.horizonS = 0.0;
     EXPECT_THROW(w.validate(), FatalError);
+    // NaN passes an `x <= 0` check; a NaN rate would run no request
+    // and still meet every SLO.
+    w = WorkloadSpec{};
+    w.arrivalRatePerS = std::nan("");
+    EXPECT_THROW(w.validate(), FatalError);
+    w = WorkloadSpec{};
+    w.horizonS = std::nan("");
+    EXPECT_THROW(w.validate(), FatalError);
 }
 
 TEST(Workload, SubstreamSeedsDiffer)

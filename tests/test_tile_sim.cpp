@@ -86,6 +86,13 @@ struct GemmShape
     long m, n, k, batch;
 };
 
+/** Print the shape's label, not the struct's bytes (a pointer). */
+void
+PrintTo(const GemmShape &shape, std::ostream *os)
+{
+    *os << shape.label;
+}
+
 class CrossValidate : public ::testing::TestWithParam<GemmShape>
 {};
 

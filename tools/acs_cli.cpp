@@ -26,17 +26,22 @@
  * variable) records counters and spans during the command, prints a
  * per-stage summary, and writes a Chrome-trace JSON to <file>.
  * --gemm-mode={analytic,tile_sim,cycle_sim} selects the GEMM latency
- * model for the evaluate/sweep commands, and --gemm-cache={on,off}
- * toggles the sweep-scoped cross-design GEMM cache in the simulating
- * modes — output is byte-identical either way (docs/PERF.md).
+ * model for the evaluate/sweep commands (docs/PERF.md).
+ *
+ * Every numeric argument goes through parseNumber(): a malformed,
+ * out-of-range or non-finite value is a fatal error naming the
+ * argument.
  */
 
+#include <charconv>
+#include <cmath>
 #include <deque>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "coevo/arms_race.hh"
@@ -53,8 +58,7 @@ int
 usage()
 {
     std::cout <<
-        "usage: acs [--trace=<file>] [--gemm-mode=<mode>]\n"
-        "           [--gemm-cache=on|off] <command> [args]\n"
+        "usage: acs [--trace=<file>] [--gemm-mode=<mode>] <command> [args]\n"
         "  classify <tpp> <devbw_gbps> <area_mm2> [dc|consumer]\n"
         "  db [data-center|consumer|workstation]\n"
         "  evaluate <config.kv> <gpt3|llama|llama70b|mixtral>\n"
@@ -108,11 +112,31 @@ usage()
         "counters/spans and writes Chrome-trace JSON to <file>.\n"
         "--gemm-mode=analytic|tile_sim|cycle_sim picks the GEMM\n"
         "latency model for evaluate/sweep (default analytic; see\n"
-        "docs/PERF.md).\n"
-        "--gemm-cache=on|off toggles the simulating modes' sweep-\n"
-        "scoped GEMM cache (default on; byte-identical output either\n"
-        "way).\n";
+        "docs/PERF.md).\n";
     return 2;
+}
+
+/**
+ * Parse all of @p text as a T for the argument named @p what. Fatal,
+ * naming the argument, on a malformed or out-of-range value and, for
+ * floating point, on NaN or infinity.
+ */
+template <typename T>
+T
+parseNumber(const std::string &what, const std::string &text)
+{
+    T value{};
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec == std::errc::result_out_of_range)
+        fatal(what + ": '" + text + "' is out of range");
+    if (ec != std::errc() || end != last)
+        fatal(what + ": expected a number, got '" + text + "'");
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value))
+            fatal(what + ": '" + text + "' is not finite");
+    }
+    return value;
 }
 
 hw::HardwareConfig
@@ -133,9 +157,10 @@ cmdClassify(const std::vector<std::string> &args)
         return usage();
     policy::DeviceSpec spec;
     spec.name = "cli-device";
-    spec.tpp = std::stod(args[0]);
-    spec.deviceBandwidthGBps = std::stod(args[1]);
-    spec.dieAreaMm2 = std::stod(args[2]);
+    spec.tpp = parseNumber<double>("classify <tpp>", args[0]);
+    spec.deviceBandwidthGBps =
+        parseNumber<double>("classify <devbw_gbps>", args[1]);
+    spec.dieAreaMm2 = parseNumber<double>("classify <area_mm2>", args[2]);
     spec.market = args.size() > 3 && args[3] == "consumer"
                       ? policy::MarketSegment::CONSUMER
                       : policy::MarketSegment::DATA_CENTER;
@@ -223,7 +248,7 @@ cmdSweep(const std::vector<std::string> &args)
     if (args.size() < 2)
         return usage();
     const core::Workload workload = core::workloadByName(args[0]);
-    const double tpp = std::stod(args[1]);
+    const double tpp = parseNumber<double>("sweep <tpp>", args[1]);
     const core::SanctionsStudy study(g_perf_params);
     const auto baseline = study.evaluateBaseline(workload);
     const auto designs = study.runSweep(
@@ -339,15 +364,17 @@ cmdDse(const std::vector<std::string> &args)
         if (arg.rfind("--space=", 0) == 0) {
             space_name = arg.substr(8);
         } else if (arg.rfind("--tpp=", 0) == 0) {
-            tpp = std::stod(arg.substr(6));
+            tpp = parseNumber<double>("--tpp", arg.substr(6));
         } else if (arg.rfind("--shard=", 0) == 0) {
             acfg.shard = dse::parseShardSpec(arg.substr(8));
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
             ckpt_dir = arg.substr(13);
         } else if (arg.rfind("--ckpt-every=", 0) == 0) {
-            acfg.checkpointEveryPoints = std::stoull(arg.substr(13));
+            acfg.checkpointEveryPoints =
+                parseNumber<std::size_t>("--ckpt-every", arg.substr(13));
         } else if (arg.rfind("--max-evals=", 0) == 0) {
-            acfg.maxEvaluations = std::stoull(arg.substr(12));
+            acfg.maxEvaluations =
+                parseNumber<std::size_t>("--max-evals", arg.substr(12));
         } else if (arg == "--merge") {
             merge = true;
         } else {
@@ -401,17 +428,20 @@ cmdCoevo(const std::vector<std::string> &args)
     coevo::ArmsRaceConfig cfg;
     for (const std::string &arg : args) {
         if (arg.rfind("--rounds=", 0) == 0) {
-            cfg.rounds = std::stoi(arg.substr(9));
+            cfg.rounds = parseNumber<int>("--rounds", arg.substr(9));
         } else if (arg.rfind("--collateral-budget=", 0) == 0) {
-            cfg.collateralBudget = std::stod(arg.substr(20));
+            cfg.collateralBudget = parseNumber<double>(
+                "--collateral-budget", arg.substr(20));
         } else if (arg.rfind("--mechanism=", 0) == 0) {
             cfg.mechanism = coevo::mechanismFromString(arg.substr(12));
         } else if (arg.rfind("--seed=", 0) == 0) {
-            cfg.seed = std::stoull(arg.substr(7));
+            cfg.seed =
+                parseNumber<std::uint64_t>("--seed", arg.substr(7));
         } else if (arg.rfind("--workload=", 0) == 0) {
             cfg.workload = arg.substr(11);
         } else if (arg.rfind("--max-evals=", 0) == 0) {
-            cfg.maxEvaluations = std::stoull(arg.substr(12));
+            cfg.maxEvaluations =
+                parseNumber<std::size_t>("--max-evals", arg.substr(12));
         } else {
             std::cerr << "unknown coevo option '" << arg << "'\n";
             return usage();
@@ -471,15 +501,15 @@ cmdMetrics(const std::vector<std::string> &args)
     return 0;
 }
 
-/** Split "a,b,c" into doubles (fatal on parse errors via stod). */
+/** Split the value "a,b,c" of argument @p what into doubles. */
 std::vector<double>
-parseDoubleList(const std::string &text)
+parseDoubleList(const std::string &what, const std::string &text)
 {
     std::vector<double> values;
     std::stringstream ss(text);
     std::string item;
     while (std::getline(ss, item, ','))
-        values.push_back(std::stod(item));
+        values.push_back(parseNumber<double>(what, item));
     return values;
 }
 
@@ -515,7 +545,7 @@ parseFleetSpec(const std::string &text)
                   item + "'");
         FleetEntry e;
         e.device = item.substr(0, colon);
-        e.replicas = std::stoi(item.substr(colon + 1));
+        e.replicas = parseNumber<int>("--fleet", item.substr(colon + 1));
         fatalIf(e.replicas < 1,
                 "--fleet replica counts must be >= 1");
         entries.push_back(std::move(e));
@@ -658,7 +688,7 @@ cmdServeSim(const std::vector<std::string> &args)
         } else if (arg.rfind("--trace=", 0) == 0) {
             copts.traceFile = arg.substr(8);
         } else if (arg.rfind("--diurnal=", 0) == 0) {
-            const auto parts = parseDoubleList(arg.substr(10));
+            const auto parts = parseDoubleList("--diurnal", arg.substr(10));
             if (parts.size() != 2) {
                 std::cerr
                     << "--diurnal expects <peak_trough>,<period_s>\n";
@@ -668,11 +698,12 @@ cmdServeSim(const std::vector<std::string> &args)
             copts.peakToTrough = parts[0];
             copts.periodS = parts[1];
         } else if (arg.rfind("--rate=", 0) == 0) {
-            scfg.ratesPerS = parseDoubleList(arg.substr(7));
+            scfg.ratesPerS = parseDoubleList("--rate", arg.substr(7));
         } else if (arg.rfind("--seed=", 0) == 0) {
-            scfg.seed = std::stoull(arg.substr(7));
+            scfg.seed =
+                parseNumber<std::uint64_t>("--seed", arg.substr(7));
         } else if (arg.rfind("--slo-p99=", 0) == 0) {
-            const auto bounds = parseDoubleList(arg.substr(10));
+            const auto bounds = parseDoubleList("--slo-p99", arg.substr(10));
             if (bounds.size() != 2) {
                 std::cerr << "--slo-p99 expects <ttft_s>,<tbt_s>\n";
                 return usage();
@@ -680,15 +711,16 @@ cmdServeSim(const std::vector<std::string> &args)
             scfg.slo.ttftP99MaxS = bounds[0];
             scfg.slo.tbtP99MaxS = bounds[1];
         } else if (arg.rfind("--demand=", 0) == 0) {
-            scfg.fleetRatePerS = std::stod(arg.substr(9));
+            scfg.fleetRatePerS =
+                parseNumber<double>("--demand", arg.substr(9));
         } else if (arg.rfind("--prompt=", 0) == 0) {
-            scfg.promptLen =
-                sim::LengthDistribution::fixed(std::stoi(arg.substr(9)));
+            scfg.promptLen = sim::LengthDistribution::fixed(
+                parseNumber<int>("--prompt", arg.substr(9)));
         } else if (arg.rfind("--output=", 0) == 0) {
-            scfg.outputLen =
-                sim::LengthDistribution::fixed(std::stoi(arg.substr(9)));
+            scfg.outputLen = sim::LengthDistribution::fixed(
+                parseNumber<int>("--output", arg.substr(9)));
         } else if (arg.rfind("--horizon=", 0) == 0) {
-            scfg.horizonS = std::stod(arg.substr(10));
+            scfg.horizonS = parseNumber<double>("--horizon", arg.substr(10));
         } else if (arg.rfind("--", 0) == 0) {
             std::cerr << "unknown serve-sim option '" << arg << "'\n";
             return usage();
@@ -807,13 +839,6 @@ main(int argc, char **argv)
                           << ")\n";
                 return usage();
             }
-        } else if (arg.rfind("--gemm-cache=", 0) == 0) {
-            const std::string value = arg.substr(13);
-            if (value != "on" && value != "off") {
-                std::cerr << "unknown --gemm-cache '" << value << "'\n";
-                return usage();
-            }
-            g_perf_params.cacheTileSimGemms = value == "on";
         } else {
             break;
         }
