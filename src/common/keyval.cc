@@ -90,6 +90,16 @@ KeyVal::setBool(const std::string &key, bool value)
     set(key, value ? "true" : "false");
 }
 
+std::vector<std::string>
+KeyVal::keys() const
+{
+    std::vector<std::string> out;
+    out.reserve(values_.size());
+    for (const auto &[key, value] : values_)
+        out.push_back(key);
+    return out;
+}
+
 bool
 KeyVal::has(const std::string &key) const
 {

@@ -12,6 +12,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 namespace acs {
 
@@ -53,6 +54,9 @@ class KeyVal
 
     /** Number of keys. */
     std::size_t size() const { return values_.size(); }
+
+    /** Every key, sorted. */
+    std::vector<std::string> keys() const;
 
   private:
     std::map<std::string, std::string> values_;

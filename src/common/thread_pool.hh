@@ -85,8 +85,8 @@ class ThreadPool
      * ACS_THREADS environment variable when set (worker count =
      * ACS_THREADS - 1) or hardware concurrency otherwise. All library
      * batch entry points (dse::DesignEvaluator::evaluateAllParallel,
-     * evaluateStream) route through it so benches and tools reuse one
-     * warm crew across every sweep.
+     * evaluatePlanIndices) route through it so benches and tools reuse
+     * one warm crew across every sweep.
      */
     static ThreadPool &shared();
 

@@ -223,12 +223,11 @@ SanctionsStudy::classifyDatabase(const devices::Database &db)
 
 sim::IterationCostModel
 SanctionsStudy::makeCostModel(const hw::HardwareConfig &cfg,
-                              const Workload &workload,
-                              sim::MemoEngine memo) const
+                              const Workload &workload) const
 {
     return sim::IterationCostModel(cfg, workload.model,
                                    workload.setting, workload.system,
-                                   params_, memo);
+                                   params_);
 }
 
 } // namespace core

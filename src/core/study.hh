@@ -206,14 +206,11 @@ class SanctionsStudy
      * fleet, heterogeneous cluster pool). Callers keep it alive for
      * the lifetime of any simulation using it; one oracle per
      * (device, workload) pair can be shared across pools and
-     * searches, compounding the memoization. @p memo selects the
-     * memo structure (sim::MemoEngine::LEGACY_MAP is the mutex+map
-     * reference path; results are identical either way).
+     * searches, compounding the memoization.
      */
     sim::IterationCostModel
     makeCostModel(const hw::HardwareConfig &cfg,
-                  const Workload &workload,
-                  sim::MemoEngine memo = sim::MemoEngine::FLAT) const;
+                  const Workload &workload) const;
 
     /** Per-rule regulated counts over a device catalogue. */
     struct DatabaseSummary

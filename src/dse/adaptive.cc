@@ -142,11 +142,9 @@ AdaptiveSearch::searchFingerprint(const SweepSpace &space,
     h = fnvList(space.deviceBandwidths, h);
     h = fnvList(space.diesPerPackage, h);
     // Every perf constant that reaches a timing expression. The
-    // bit-identical speed switches (batchAnalyticEval,
-    // cacheTileSimGemms, the cache handle) are deliberately excluded:
-    // they change cost, never results.
+    // cache handle is deliberately excluded: it changes cost, never
+    // results.
     h = fnvValue(static_cast<int>(params.gemmMode), h);
-    h = fnvValue(static_cast<int>(params.tileSimEngine), h);
     h = fnvValue(params.modelMultiPassVector, h);
     h = fnvValue(params.memEfficiency, h);
     h = fnvValue(params.l2Efficiency, h);
@@ -159,7 +157,6 @@ AdaptiveSearch::searchFingerprint(const SweepSpace &space,
     h = fnvValue(params.modelPipelineFill, h);
     h = fnvValue(params.pipelineFillOverlap, h);
     h = fnvValue(params.modelTiling, h);
-    h = fnvValue(params.memoizeOps, h);
     h = fnvValue(params.modelL2Blocking, h);
     // The workload and the trajectory-shaping adaptive knobs. Shard
     // assignment and checkpoint cadence are excluded on purpose:
@@ -584,7 +581,7 @@ AdaptiveSearch::run(const DesignEvaluator::StreamPredicate &predicate)
         if (p.flags & POINT_UNREGULATED)
             ++res.oct2023Unregulated;
         // Ascending index scan with strict <: ties resolve to the
-        // lowest index, matching StreamStats::absorb / min_element.
+        // lowest index, matching std::min_element.
         if (!have_t || p.ttftS < best_t) {
             best_t = p.ttftS;
             res.bestTtftIndex = p.index;

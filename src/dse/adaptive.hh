@@ -2,8 +2,8 @@
  * @file
  * Coarse-to-fine adaptive design-space search (docs/DSE.md).
  *
- * Exhaustive streaming (DesignEvaluator::evaluateStream) is the right
- * tool up to ~10^6 designs; the fine-grained spaces this engine
+ * Exhaustive evaluation (DesignEvaluator::evaluateAllParallel) is the
+ * right tool up to ~10^6 designs; the fine-grained spaces this engine
  * targets (dse::fineSpace, 10^8-10^9 points) need pruning. The
  * engine exploits the sweep's AxisEffect factorization:
  *
@@ -186,9 +186,10 @@ class AdaptiveSearch
      * Run the search (resuming from cfg.checkpointPath when the file
      * exists — fatal if its fingerprint does not match this search).
      *
-     * @param predicate Keep-filter, as in evaluateStream. Installing
-     *                  one disables COMM_ONLY bracketing (full dev
-     *                  scans) — exactness over the kept set needs it.
+     * @param predicate Keep-filter, as in evaluatePlanIndices.
+     *                  Installing one disables COMM_ONLY bracketing
+     *                  (full dev scans) — exactness over the kept set
+     *                  needs it.
      */
     AdaptiveResult
     run(const DesignEvaluator::StreamPredicate &predicate = nullptr);

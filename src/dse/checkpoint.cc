@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "common/logging.hh"
 
@@ -34,6 +36,26 @@ parseHex64(const std::string &text, const std::string &what)
     in >> std::hex >> v;
     fatalIf(in.fail() || !in.eof(),
             "checkpoint: malformed hex field (" + what + "): " + text);
+    return v;
+}
+
+/**
+ * A whole-line unsigned decimal header field, checked: fatal, naming
+ * the file and the field, unless @p text is all digits and fits.
+ */
+std::uint64_t
+parseU64(const std::string &text, const std::string &field,
+         const std::string &path)
+{
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    fatalIf(ec == std::errc::result_out_of_range,
+            "checkpoint: " + field + " '" + text +
+                "' is out of range: " + path);
+    fatalIf(ec != std::errc{} || ptr != end,
+            "checkpoint: " + field + " '" + text +
+                "' is not an unsigned integer: " + path);
     return v;
 }
 
@@ -130,13 +152,14 @@ readCheckpoint(const std::string &path, Checkpoint *out)
     const std::string header = next("header");
     fatalIf(header.rfind("acs-dse-checkpoint v", 0) != 0,
             "checkpoint: not a checkpoint file: " + path);
-    ck.version = static_cast<std::uint32_t>(
-        std::stoul(header.substr(std::string("acs-dse-checkpoint v")
-                                     .size())));
-    fatalIf(ck.version != CHECKPOINT_VERSION,
+    const std::uint64_t version = parseU64(
+        header.substr(std::string("acs-dse-checkpoint v").size()),
+        "version", path);
+    fatalIf(version != CHECKPOINT_VERSION,
             "checkpoint: unsupported version " +
-                std::to_string(ck.version) + " (reader supports v" +
+                std::to_string(version) + " (reader supports v" +
                 std::to_string(CHECKPOINT_VERSION) + "): " + path);
+    ck.version = static_cast<std::uint32_t>(version);
 
     ck.fingerprint =
         parseHex64(expectKey(next("fingerprint"), "fingerprint"),
@@ -146,15 +169,16 @@ readCheckpoint(const std::string &path, Checkpoint *out)
         sh >> ck.shard.index >> ck.shard.count;
         fatalIf(sh.fail(), "checkpoint: malformed shard line: " + path);
     }
-    ck.spacePoints =
-        std::stoull(expectKey(next("space_points"), "space_points"));
-    ck.complete =
-        std::stoul(expectKey(next("complete"), "complete")) != 0;
-    ck.waves = std::stoull(expectKey(next("waves"), "waves"));
-    const std::size_t n_points =
-        std::stoull(expectKey(next("points"), "points"));
+    const auto field = [&](const char *key) {
+        return parseU64(expectKey(next(key), key), key, path);
+    };
+    ck.spacePoints = field("space_points");
+    ck.complete = field("complete") != 0;
+    ck.waves = field("waves");
+    const std::uint64_t n_points = field("points");
 
-    ck.points.reserve(n_points);
+    // A corrupt count must fail as a truncated file, not an allocation.
+    ck.points.reserve(std::min<std::uint64_t>(n_points, 1u << 20));
     for (std::size_t i = 0; i < n_points; ++i) {
         std::istringstream ps(next("point"));
         std::string tag, ttft_hex, tbt_hex, flags_hex;

@@ -23,11 +23,11 @@ namespace {
 /**
  * Sweep-scoped GEMM-cache hoist: a params copy for one batch call,
  * with a batch-lifetime perf::GemmCache installed when the base
- * params run a simulating GEMM mode (TILE_SIM or CYCLE_SIM), allow
- * caching, and carry no caller-installed
- * handle. In every other case `params` is a plain copy and the unused
- * cache costs only its (empty) shard array. Results are bit-identical
- * with or without the hoist; only the sweep's cost changes.
+ * params run a simulating GEMM mode (TILE_SIM or CYCLE_SIM) and carry
+ * no caller-installed handle. In every other case `params` is a plain
+ * copy and the unused cache costs only its (empty) shard array.
+ * Results are bit-identical to per-design evaluate(); only the
+ * sweep's cost changes.
  */
 struct SweepCacheScope
 {
@@ -37,7 +37,7 @@ struct SweepCacheScope
     explicit SweepCacheScope(const perf::PerfParams &base) : params(base)
     {
         if (params.gemmMode != perf::GemmMode::ANALYTIC &&
-            params.cacheTileSimGemms && !params.gemmCache) {
+            !params.gemmCache) {
             params.gemmCache = &cache;
         }
     }
@@ -169,10 +169,7 @@ DesignEvaluator::evaluateChunk(const SweepPlan &plan, std::size_t base,
                                ChunkScratch &scratch,
                                const ChunkSink &sink) const
 {
-    const auto planIndex = [&](std::size_t j) {
-        return indices ? indices[base + j] : base + j;
-    };
-    if (perf::batchEvalEligible(params) && count >= 2) {
+    if (params.gemmMode == perf::GemmMode::ANALYTIC && count >= 2) {
         if (!scratch.batchEval) {
             scratch.batchEval =
                 std::make_unique<perf::BatchEvaluator>(params);
@@ -182,7 +179,7 @@ DesignEvaluator::evaluateChunk(const SweepPlan &plan, std::size_t base,
         scratch.batch.clear();
         scratch.batch.reserve(count);
         for (std::size_t j = 0; j < count; ++j) {
-            plan.point(planIndex(j), &scratch.cfgs[j]);
+            plan.point(indices[base + j], &scratch.cfgs[j]);
             scratch.batch.push(scratch.cfgs[j]);
         }
         // One SoA pass per op per phase; the memo spans both phases
@@ -204,13 +201,12 @@ DesignEvaluator::evaluateChunk(const SweepPlan &plan, std::size_t base,
             fillStaticFields(scratch.cfgs[j], &scratch.design);
             scratch.design.ttftS = scratch.prefillS[j];
             scratch.design.tbtS = scratch.decodeS[j];
-            sink(scratch.design, planIndex(j), base + j);
+            sink(scratch.design, base + j);
         }
     } else {
         for (std::size_t j = 0; j < count; ++j) {
-            plan.point(planIndex(j), &scratch.cfg);
-            sink(evaluateWith(scratch.cfg, params), planIndex(j),
-                 base + j);
+            plan.point(indices[base + j], &scratch.cfg);
+            sink(evaluateWith(scratch.cfg, params), base + j);
         }
     }
 }
@@ -290,152 +286,6 @@ DesignEvaluator::evaluateAllParallel(
     return out;
 }
 
-// ---- streaming pipeline ----------------------------------------------------
-
-void
-StreamStats::absorb(const EvaluatedDesign &design, std::size_t index,
-                    bool keep)
-{
-    ++evaluated;
-    if (!keep)
-        return;
-    ++kept;
-    if (design.underReticle)
-        ++underReticle;
-    if (policy::Oct2023Rule::classify(design.toSpec()) ==
-        policy::Classification::NOT_APPLICABLE) {
-        ++oct2023Unregulated;
-    }
-    // Strict-< with an index tie-break reproduces std::min_element's
-    // first-wins semantics over the enumeration order.
-    if (!bestTtft || design.ttftS < bestTtft->ttftS ||
-        (design.ttftS == bestTtft->ttftS && index < bestTtftIndex)) {
-        bestTtft = design;
-        bestTtftIndex = index;
-    }
-    if (!bestTbt || design.tbtS < bestTbt->tbtS ||
-        (design.tbtS == bestTbt->tbtS && index < bestTbtIndex)) {
-        bestTbt = design;
-        bestTbtIndex = index;
-    }
-}
-
-void
-StreamStats::merge(const StreamStats &other)
-{
-    evaluated += other.evaluated;
-    kept += other.kept;
-    underReticle += other.underReticle;
-    oct2023Unregulated += other.oct2023Unregulated;
-    if (other.bestTtft &&
-        (!bestTtft || other.bestTtft->ttftS < bestTtft->ttftS ||
-         (other.bestTtft->ttftS == bestTtft->ttftS &&
-          other.bestTtftIndex < bestTtftIndex))) {
-        bestTtft = other.bestTtft;
-        bestTtftIndex = other.bestTtftIndex;
-    }
-    if (other.bestTbt &&
-        (!bestTbt || other.bestTbt->tbtS < bestTbt->tbtS ||
-         (other.bestTbt->tbtS == bestTbt->tbtS &&
-          other.bestTbtIndex < bestTbtIndex))) {
-        bestTbt = other.bestTbt;
-        bestTbtIndex = other.bestTbtIndex;
-    }
-}
-
-StreamStats
-DesignEvaluator::evaluateStream(const SweepSpace &space,
-                                const StreamPredicate &predicate,
-                                const StreamVisitor &visitor,
-                                unsigned threads) const
-{
-    const obs::TraceSpan span("dse.evaluateStream");
-    const SweepPlan plan(space);
-    const std::size_t n = plan.pointCount();
-    obs::counterAdd("dse.sweep.points", n);
-    if (n == 0)
-        return StreamStats{};
-
-    common::ThreadPool &pool = common::ThreadPool::shared();
-    if (threads == 0)
-        threads = pool.concurrency();
-    threads = std::min<unsigned>(threads, n);
-    threads = std::max(threads, 1u);
-
-    obs::counterAdd("dse.designs.evaluated", n);
-    obs::counterAdd("dse.parallel.threads", threads);
-    const auto wall_start = std::chrono::steady_clock::now();
-
-    // One partial reduction per streaming task; designs are claimed
-    // in chunks off the atomic cursor, built via plan.point(i), and
-    // folded immediately — at no point does more than one design per
-    // task exist. Partials are padded to cache lines: absorb() writes
-    // its partial on every design, and unpadded adjacent StreamStats
-    // would false-share, which is measurable at streaming rates
-    // (warm-cache TILE_SIM sweeps stream > 100k designs/s through
-    // here).
-    struct alignas(64) PaddedStreamStats
-    {
-        StreamStats stats;
-    };
-    // One GEMM cache for the whole stream (simulating modes only):
-    // the plan
-    // enumerates comm-only axes innermost, so each compute-class run
-    // of commOnlyRunLength() designs simulates its GEMMs once.
-    SweepCacheScope scope(params_);
-    std::vector<PaddedStreamStats> partials(threads);
-    std::atomic<std::size_t> next{0};
-    // Larger claims than the materializing path: workers touch no
-    // shared output array, so the only cursor pressure is the claim
-    // itself — 4 claims per worker amortizes it without risking
-    // imbalance on these homogeneous design points.
-    const std::size_t chunk = std::clamp<std::size_t>(
-        n / (static_cast<std::size_t>(threads) * 4), 1, 64);
-    pool.parallelFor(
-        threads,
-        [&](std::size_t task) {
-            StreamStats &local = partials[task].stats;
-            // Per-worker scratch buffers: in-place point() reuses
-            // name buffers, keeping the per-design build off the
-            // allocator (which serializes across workers). ANALYTIC
-            // chunks route through the SoA batch kernel inside
-            // evaluateChunk; results are bit-identical either way.
-            ChunkScratch scratch;
-            const ChunkSink sink = [&](const EvaluatedDesign &d,
-                                       std::size_t i, std::size_t) {
-                const bool keep = !predicate || predicate(d);
-                local.absorb(d, i, keep);
-                if (keep && visitor)
-                    visitor(d, i);
-                obs::counterAdd("dse.worker.designs");
-            };
-            for (;;) {
-                const std::size_t start = next.fetch_add(chunk);
-                if (start >= n)
-                    break;
-                const std::size_t end = std::min(start + chunk, n);
-                evaluateChunk(plan, start, end - start, nullptr,
-                              scope.params, scratch, sink);
-            }
-        },
-        1);
-
-    StreamStats out;
-    for (const PaddedStreamStats &p : partials)
-        out.merge(p.stats);
-    scope.report();
-
-    if (obs::enabled()) {
-        const double wall_s =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
-        obs::recordDuration("dse.parallel.batch_wall", wall_s);
-        obs::counterAdd("dse.stream.kept", out.kept);
-    }
-    return out;
-}
-
 void
 DesignEvaluator::evaluatePlanIndices(const SweepPlan &plan,
                                      const std::size_t *indices,
@@ -454,10 +304,12 @@ DesignEvaluator::evaluatePlanIndices(const SweepPlan &plan,
 
     obs::counterAdd("dse.designs.evaluated", count);
 
-    // Same scaffolding as evaluateStream, but positions map through
-    // the caller's index array and results land in out[pos] — each
-    // slot written by exactly one worker, so no reduction is needed
-    // and the output is scheduling-independent.
+    // Workers claim chunks of positions off one atomic cursor; each
+    // result lands in out[pos], a slot written by exactly one worker,
+    // so no reduction is needed and the output is
+    // scheduling-independent. Workers touch no shared output beyond
+    // their own slots, so 4 claims per worker amortize the cursor
+    // without risking imbalance on these homogeneous design points.
     SweepCacheScope scope(params_);
     std::atomic<std::size_t> next{0};
     const std::size_t chunk = std::clamp<std::size_t>(
@@ -465,9 +317,12 @@ DesignEvaluator::evaluatePlanIndices(const SweepPlan &plan,
     pool.parallelFor(
         threads,
         [&](std::size_t) {
+            // Per-worker scratch buffers: in-place point() reuses name
+            // buffers, keeping the per-design build off the allocator
+            // (which serializes across workers).
             ChunkScratch scratch;
             const ChunkSink sink = [&](const EvaluatedDesign &d,
-                                       std::size_t, std::size_t pos) {
+                                       std::size_t pos) {
                 PointSample &s = out[pos];
                 s.ttftS = d.ttftS;
                 s.tbtS = d.tbtS;

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "area/area_model.hh"
@@ -54,7 +53,8 @@ struct EvaluatedDesign
  * adaptive search engine (dse/adaptive.hh) needs per evaluated point,
  * without carrying a full EvaluatedDesign (whose config name alone
  * dominates the record). kept applies the caller's predicate;
- * underReticle / oct2023Unregulated mirror the StreamStats tallies.
+ * underReticle / oct2023Unregulated mirror filterReticle and
+ * filterOct2023Unregulated.
  */
 struct PointSample
 {
@@ -63,38 +63,6 @@ struct PointSample
     bool kept = false;
     bool underReticle = false;
     bool oct2023Unregulated = false;
-};
-
-/**
- * Running reduction over a streamed sweep (dse::evaluateStream).
- *
- * Tracks what the materializing pipeline computes with full design
- * vectors — best-TTFT/TBT designs, reticle and Oct-2023 compliance
- * counts — but incrementally, so a sweep needs O(threads) live
- * designs instead of O(|space|). Argmins tie-break on the lower
- * enumeration index, making the merged result identical to
- * minTtft/minTbt over the materialized (filtered) vector regardless
- * of thread count or scheduling.
- */
-struct StreamStats
-{
-    std::size_t evaluated = 0;         //!< designs evaluated
-    std::size_t kept = 0;              //!< designs passing the predicate
-    std::size_t underReticle = 0;      //!< kept && underReticle
-    std::size_t oct2023Unregulated = 0;//!< kept && NOT_APPLICABLE
-
-    /** Min-TTFT / min-TBT designs among the kept set. */
-    std::optional<EvaluatedDesign> bestTtft;
-    std::optional<EvaluatedDesign> bestTbt;
-    std::size_t bestTtftIndex = 0; //!< enumeration index of bestTtft
-    std::size_t bestTbtIndex = 0;  //!< enumeration index of bestTbt
-
-    /** Fold one evaluated design (with its enumeration index) in. */
-    void absorb(const EvaluatedDesign &design, std::size_t index,
-                bool keep);
-
-    /** Merge another partial (commutative up to the index tie-break). */
-    void merge(const StreamStats &other);
 };
 
 /**
@@ -128,12 +96,11 @@ class DesignEvaluator
      * Evaluate a batch of designs.
      *
      * Like every batch entry point (evaluateAllParallel,
-     * evaluateStream), hoists one sweep-scoped perf::GemmCache over
-     * the whole batch when the params ask for a simulating GEMM mode
-     * (TILE_SIM or CYCLE_SIM) and
-     * cacheTileSimGemms (and no caller-installed cache) — designs
-     * sharing a canonical GEMM projection then simulate each GEMM
-     * once. Bit-identical to the uncached path.
+     * evaluatePlanIndices), hoists one sweep-scoped perf::GemmCache
+     * over the whole batch when the params ask for a simulating GEMM
+     * mode (TILE_SIM or CYCLE_SIM) and install no cache of their own —
+     * designs sharing a canonical GEMM projection then simulate each
+     * GEMM once. Bit-identical to calling evaluate() per design.
      */
     std::vector<EvaluatedDesign>
     evaluateAll(const std::vector<hw::HardwareConfig> &cfgs) const;
@@ -155,60 +122,20 @@ class DesignEvaluator
     using StreamPredicate = std::function<bool(const EvaluatedDesign &)>;
 
     /**
-     * Per-design hook invoked for every *kept* design with its
-     * enumeration index. May run concurrently from sweep workers: the
-     * callable must be thread-safe (the built-in StreamStats reduction
-     * does not need this hook).
-     */
-    using StreamVisitor =
-        std::function<void(const EvaluatedDesign &, std::size_t)>;
-
-    /**
-     * Fused generate → evaluate → filter → reduce over a sweep space.
-     *
-     * Design points stream out of @p space (SweepSpace::forEach
-     * order), are evaluated in parallel on the shared thread pool, and
-     * fold into per-thread StreamStats partials that are merged at the
-     * end — peak memory is O(threads) EvaluatedDesigns instead of the
-     * materializing pipeline's O(|space|). The result is bit-identical
-     * to evaluateAll(space.generate()) + filtering + minTtft/minTbt,
-     * independent of thread count (argmin ties resolve to the lowest
-     * enumeration index, matching std::min_element).
-     *
-     * Under a simulating GEMM mode one sweep-scoped perf::GemmCache is
-     * hoisted over the whole stream (unless the params install their
-     * own handle or clear cacheTileSimGemms): the SweepPlan keeps
-     * comm-only axes innermost, so all designs of one compute-class
-     * run — the entire deviceBandwidths axis — reuse each die-local
-     * GEMM simulation from the run's first design, bit-exactly.
-     *
-     * @param space     Sweep space to stream.
-     * @param predicate Keep-filter; designs failing it still count in
-     *                  `evaluated` but not in `kept`/argmins. Null
-     *                  keeps everything.
-     * @param visitor   Optional thread-safe hook for kept designs.
-     * @param threads   Worker cap; 0 uses the shared pool's full
-     *                  concurrency.
-     */
-    StreamStats
-    evaluateStream(const SweepSpace &space,
-                   const StreamPredicate &predicate = nullptr,
-                   const StreamVisitor &visitor = nullptr,
-                   unsigned threads = 0) const;
-
-    /**
      * Evaluate an explicit set of plan indices in parallel, writing a
      * PointSample per position: out[pos] describes plan point
      * indices[pos]. This is the adaptive engine's evaluation wave —
      * the indices are whatever the coarse-to-fine planner asks for,
      * generally non-contiguous.
      *
-     * Shares the streaming pipeline's machinery: designs build via
-     * plan.point into per-worker scratch, ANALYTIC-mode designs
-     * evaluate through the SoA batch kernel
-     * (PerfParams::batchAnalyticEval), simulated-GEMM designs get a
-     * call-scoped GemmCache hoist. Deterministic: out[pos] depends
-     * only on indices[pos], never on scheduling.
+     * Designs build via plan.point into per-worker scratch.
+     * ANALYTIC-mode designs evaluate through the SoA batch kernel
+     * (perf/batch_eval.hh), bit-identical to evaluate();
+     * simulated-GEMM designs get a call-scoped GemmCache hoist. The
+     * batched path skips per-op trace spans and bound tallies; use
+     * evaluate() or evaluateAll() when per-op observability matters.
+     * Deterministic: out[pos] depends only on indices[pos], never on
+     * scheduling.
      *
      * @param plan      Compiled space (must outlive the call).
      * @param indices   Plan indices to evaluate (any order; repeats
@@ -250,20 +177,19 @@ class DesignEvaluator
     struct ChunkScratch; // per-worker buffers (evaluate.cc)
 
     /**
-     * Per-design completion hook of evaluateChunk: (design, plan
-     * index, position). Position is base + offset — the slot in the
-     * caller's index/output arrays.
+     * Per-design completion hook of evaluateChunk: (design, position).
+     * Position is base + offset — the slot in the caller's
+     * index/output arrays.
      */
-    using ChunkSink = std::function<void(
-        const EvaluatedDesign &, std::size_t, std::size_t)>;
+    using ChunkSink =
+        std::function<void(const EvaluatedDesign &, std::size_t)>;
 
     /**
      * Evaluate one worker-claimed chunk: positions [base, base+count)
-     * mapping to plan indices indices[pos] (or pos itself when
-     * indices is null — the streaming pipeline's contiguous claim).
-     * Routes through the SoA batch kernel when the params allow
-     * (perf::batchEvalEligible), the scalar evaluateWith otherwise;
-     * both deliver identical designs to @p sink in position order.
+     * mapping to plan indices indices[pos]. Routes ANALYTIC-mode
+     * chunks through the SoA batch kernel, the rest through the
+     * scalar evaluateWith; both deliver identical designs to @p sink
+     * in position order.
      */
     void evaluateChunk(const SweepPlan &plan, std::size_t base,
                        std::size_t count, const std::size_t *indices,

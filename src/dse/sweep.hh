@@ -121,9 +121,7 @@ struct SweepSpace
      * Streaming enumeration: invoke @p fn with every design point
      * generate() would materialize — same points, same order, same
      * names — plus the point's enumeration index, without ever holding
-     * more than one config alive. This is the O(1)-memory producer the
-     * fused sweep pipeline (DesignEvaluator::evaluateStream) builds
-     * on.
+     * more than one config alive. generate() builds on it.
      */
     void forEach(const std::function<void(const hw::HardwareConfig &,
                                           std::size_t)> &fn) const;

@@ -47,6 +47,11 @@ HardwareConfig
 configFromKeyVal(const KeyVal &kv)
 {
     HardwareConfig cfg;
+    // A misspelled key would otherwise leave its field at the
+    // default without a word.
+    const KeyVal known = toKeyVal(cfg);
+    for (const std::string &key : kv.keys())
+        fatalIf(!known.has(key), "config: unknown key '" + key + "'");
     if (kv.has("name"))
         cfg.name = kv.getString("name");
     cfg.coreCount =

@@ -20,8 +20,9 @@ KeyVal toKeyVal(const HardwareConfig &cfg);
  * Build a config from a KeyVal.
  *
  * Absent keys keep the HardwareConfig default (the A100-class
- * template values); present keys must parse (fatal otherwise). The
- * result is validated before returning.
+ * template values); present keys must parse, and a key toKeyVal does
+ * not write is fatal, naming it. The result is validated before
+ * returning.
  */
 HardwareConfig configFromKeyVal(const KeyVal &kv);
 

@@ -287,8 +287,7 @@ BatchEvaluator::layerLatency(const model::LayerGraph &graph,
     const std::size_t n = batch.size();
     scratch_.resize(n);
     for (const model::Op &op : graph.ops) {
-        const std::vector<double> *hit =
-            params_.memoizeOps ? findMemo(op) : nullptr;
+        const std::vector<double> *hit = findMemo(op);
         const double *lat;
         if (hit) {
             lat = hit->data();
@@ -306,8 +305,7 @@ BatchEvaluator::layerLatency(const model::LayerGraph &graph,
                 break;
             }
             lat = scratch_.data();
-            if (params_.memoizeOps)
-                memo_.push_back({op, scratch_});
+            memo_.push_back({op, scratch_});
         }
         // Accumulate in graph order: same adds, same order as the
         // scalar `result.latencyS += timing.latencyS` fold.

@@ -90,8 +90,8 @@ void batchAllreduceTotalS(const DesignBatch &batch, const model::Op &op,
 /**
  * Batched counterpart of InferenceSimulator::simulateLayer +
  * OpShapeMemo: sums per-op latencies of a layer graph across N
- * designs, memoizing repeated op shapes (when params.memoizeOps) so a
- * shape repeated within one evaluation is timed once per batch.
+ * designs, memoizing repeated op shapes so a shape repeated within
+ * one evaluation is timed once per batch.
  *
  * Usage per design chunk: reset(), then one layerLatency call per
  * graph (prefill, decode) — the memo spans the calls exactly like the
@@ -131,14 +131,6 @@ class BatchEvaluator
     std::vector<MemoEntry> memo_;
     std::vector<double> scratch_;
 };
-
-/** True when params route sweep evaluation through the SoA kernels. */
-inline bool
-batchEvalEligible(const PerfParams &params)
-{
-    return params.gemmMode == GemmMode::ANALYTIC &&
-           params.batchAnalyticEval;
-}
 
 } // namespace perf
 } // namespace acs

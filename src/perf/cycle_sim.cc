@@ -42,9 +42,9 @@ enum TileClass
 };
 
 /**
- * Every integer constant both engines read, computed once from
- * (device, op, params) so the coalesced and naive loops cannot
- * diverge. Timing is integer core clocks throughout: that is what
+ * Every integer constant the event loops read, computed once from
+ * (device, op, params) so the coalesced loop and the reference tick
+ * cannot diverge. Timing is integer core clocks throughout: that is what
  * makes the bit-exactness contract (and exact replay) tractable.
  */
 struct CycleModel
@@ -192,7 +192,7 @@ struct ArrayState
     std::int64_t computeFree = 0; //!< when the array's MACs go idle
 };
 
-/** The full mutable simulation state both engines advance. */
+/** The full mutable simulation state every event loop advances. */
 struct Machine
 {
     std::vector<ArrayState> arr;
@@ -226,9 +226,9 @@ initMachine(const CycleModel &cm, Machine &m)
 /**
  * Fire array @p a's pending transition at time @p now (== due).
  *
- * This is the single transition function both engines share: the
- * naive tick reaches it by polling every cycle, the coalesced loop by
- * jumping straight to the due time. All scheduling decisions read
+ * This is the single transition function every loop shares: the
+ * reference tick reaches it by polling every cycle, the coalesced
+ * loop by jumping straight to the due time. All scheduling decisions read
  * only integer machine state, so the two orders are identical.
  */
 void
@@ -307,7 +307,7 @@ process(const CycleModel &cm, Machine &m, int a, std::int64_t now,
 /**
  * Drain every transition due at @p now: arrays in canonical order,
  * each array's same-cycle cascade (compute start -> next fill issue)
- * resolved before moving on. Both engines call exactly this, so
+ * resolved before moving on. Every loop calls exactly this, so
  * coalescing cannot reorder same-cycle work.
  */
 void
@@ -333,7 +333,7 @@ nextDue(const Machine &m)
     return next;
 }
 
-// ---- Periodic replay (COALESCED + cycleReplay only) ------------------
+// ---- Periodic replay --------------------------------------------------
 //
 // After warmup the machine is periodic: job classes depend only on the
 // tile-column phase (plus, for batched GEMMs, the slice phase), and
@@ -371,13 +371,10 @@ struct ReplayState
 };
 
 ReplayState
-makeReplay(const CycleModel &cm, const model::MatmulShape &mm,
-           const PerfParams &params)
+makeReplay(const CycleModel &cm, const model::MatmulShape &mm)
 {
     ReplayState r;
-    r.armed = params.cycleReplay &&
-              params.cycleEngine == CycleEngine::COALESCED &&
-              cm.jobs > cm.arrays;
+    r.armed = cm.jobs > cm.arrays;
     // Within one batch slice the class of a job is fixed by its tile
     // column alone as long as it stays off the remainder row, so
     // unbatched GEMMs match on the column phase and guard the last
@@ -524,11 +521,51 @@ onCheckpoint(const CycleModel &cm, Machine &m, std::int64_t now,
     r.seen.emplace(h, std::move(cp));
 }
 
-} // anonymous namespace
+/** The reference tick: visit every cycle and poll all arrays. */
+std::int64_t
+tickLoop(const CycleModel &cm, const model::MatmulShape &, Machine &m)
+{
+    std::int64_t ticks = 0;
+    for (std::int64_t now = 0; m.live > 0; ++now) {
+        drainCycle(cm, m, now, nullptr);
+        ++ticks;
+    }
+    return ticks;
+}
 
+/** The coalesced loop without replay (a reference). */
+std::int64_t
+coalescedLoop(const CycleModel &cm, const model::MatmulShape &,
+              Machine &m)
+{
+    while (m.live > 0)
+        drainCycle(cm, m, nextDue(m), nullptr);
+    return 0;
+}
+
+/** The coalesced loop with periodic replay: simulateGemmCycles. */
+std::int64_t
+replayLoop(const CycleModel &cm, const model::MatmulShape &mm, Machine &m)
+{
+    ReplayState replay = makeReplay(cm, mm);
+    while (m.live > 0) {
+        const std::int64_t now = nextDue(m);
+        bool fresh = false;
+        drainCycle(cm, m, now, replay.armed ? &fresh : nullptr);
+        if (fresh)
+            onCheckpoint(cm, m, now, replay);
+    }
+    return 0;
+}
+
+/** An event loop; returns the cycles it ticked (0 unless tickLoop). */
+using EventLoop = std::int64_t (*)(const CycleModel &,
+                                   const model::MatmulShape &, Machine &);
+
+/** Shared validation, setup and accounting of every entry point. */
 CycleStats
-simulateGemmCycles(const hw::HardwareConfig &cfg, const model::Op &op,
-                   const PerfParams &params)
+simulate(const hw::HardwareConfig &cfg, const model::Op &op,
+         const PerfParams &params, EventLoop loop)
 {
     if (op.kind != model::OpKind::MATMUL)
         fatal("simulateGemmCycles requires a MATMUL op: " + op.name);
@@ -542,24 +579,7 @@ simulateGemmCycles(const hw::HardwareConfig &cfg, const model::Op &op,
     const CycleModel cm = buildModel(cfg, op, params);
     Machine m;
     initMachine(cm, m);
-
-    std::int64_t ticks = 0;
-    if (params.cycleEngine == CycleEngine::LEGACY_TICK) {
-        // The naive reference: visit every cycle and poll all arrays.
-        for (std::int64_t now = 0; m.live > 0; ++now) {
-            drainCycle(cm, m, now, nullptr);
-            ++ticks;
-        }
-    } else {
-        ReplayState replay = makeReplay(cm, mm, params);
-        while (m.live > 0) {
-            const std::int64_t now = nextDue(m);
-            bool fresh = false;
-            drainCycle(cm, m, now, replay.armed ? &fresh : nullptr);
-            if (fresh)
-                onCheckpoint(cm, m, now, replay);
-        }
-    }
+    const std::int64_t ticks = loop(cm, mm, m);
 
     m.stats.cycles = m.makespan;
     m.stats.totalS = static_cast<double>(m.makespan) / cfg.clockHz +
@@ -579,6 +599,29 @@ simulateGemmCycles(const hw::HardwareConfig &cfg, const model::Op &op,
                             static_cast<std::uint64_t>(ticks));
     }
     return m.stats;
+}
+
+} // anonymous namespace
+
+CycleStats
+simulateGemmCycles(const hw::HardwareConfig &cfg, const model::Op &op,
+                   const PerfParams &params)
+{
+    return simulate(cfg, op, params, replayLoop);
+}
+
+CycleStats
+simulateGemmCyclesTick(const hw::HardwareConfig &cfg, const model::Op &op,
+                       const PerfParams &params)
+{
+    return simulate(cfg, op, params, tickLoop);
+}
+
+CycleStats
+simulateGemmCyclesNoReplay(const hw::HardwareConfig &cfg,
+                           const model::Op &op, const PerfParams &params)
+{
+    return simulate(cfg, op, params, coalescedLoop);
 }
 
 } // namespace perf

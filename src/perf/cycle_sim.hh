@@ -19,9 +19,8 @@
  *
  *  - event coalescing: advance straight to the earliest pending
  *    pipeline transition and drain all same-cycle completions in one
- *    canonical pass (`CycleEngine::COALESCED`), instead of polling
- *    every array every cycle (`CycleEngine::LEGACY_TICK`, kept as the
- *    bit-exact reference);
+ *    canonical pass, instead of polling every array every cycle (the
+ *    simulateGemmCyclesTick reference);
  *  - per-tile-class replay: after warmup the tile stream is periodic
  *    — interior/edge/corner classes recur with a fixed column phase —
  *    so the engine snapshots the relative machine state at tile
@@ -31,10 +30,11 @@
  *  - cross-design memoization: MatmulModel::time routes CYCLE_SIM
  *    results through perf::GemmCache under a mode-aware key.
  *
- * All timing state is integer cycles, so the coalesced engine (replay
- * on or off) is bit-identical to LEGACY_TICK — cycle counts and every
- * stall tally — which tests/test_cycle_sim.cpp pins with the same
- * randomized property pattern that guards TILE_SIM's two engines.
+ * All timing state is integer cycles, so the coalesced loop (with
+ * replay or without it) is bit-identical to the per-cycle tick —
+ * cycle counts and every stall tally — which tests/test_cycle_sim.cpp
+ * pins with the same randomized property pattern that guards
+ * TILE_SIM against its per-tile walk.
  */
 
 #ifndef ACS_PERF_CYCLE_SIM_HH
@@ -52,9 +52,9 @@ namespace perf {
 /**
  * Scalar result of one cycle-simulated GEMM.
  *
- * Every cycle field is an exact integer tally shared by both engines;
- * totalS is derived from `cycles` alone, so it inherits the bit-exact
- * contract.
+ * Every cycle field is an exact integer tally that the reference
+ * loops reproduce; totalS is derived from `cycles` alone, so it
+ * inherits the bit-exact contract.
  */
 struct CycleStats
 {
@@ -78,7 +78,7 @@ struct CycleStats
     /** Whether the double-buffered fill/compute overlap fit in L1. */
     bool overlapOk = true;
 
-    // --- Engine accounting (also bit-exact across engines) -----------
+    // --- Loop accounting (also bit-exact against the references) -----
     std::int64_t events = 0;        //!< pipeline transitions processed
     std::int64_t replayedTiles = 0; //!< tiles fast-forwarded by replay
 };
@@ -89,9 +89,7 @@ struct CycleStats
  * Uses the same tile-selection policy (chooseTiles) and blocked HBM
  * traffic model as MatmulModel/TILE_SIM so the three modes are
  * directly comparable; derives latency from the explicit per-array
- * tile pipeline. `params.cycleEngine` selects the event loop and
- * `params.cycleReplay` the periodic fast-forward; all combinations
- * produce bit-identical CycleStats.
+ * tile pipeline, with the event-coalesced loop and periodic replay.
  *
  * @param cfg    Device (validated).
  * @param op     Operator with kind == MATMUL (fatal otherwise).
@@ -100,6 +98,25 @@ struct CycleStats
 CycleStats simulateGemmCycles(const hw::HardwareConfig &cfg,
                               const model::Op &op,
                               const PerfParams &params = PerfParams{});
+
+/**
+ * Test references for simulateGemmCycles, which must match both on
+ * every CycleStats field but replayedTiles (tests/test_cycle_sim.cpp).
+ * They share its model and transition function; production code never
+ * calls them.
+ *
+ *  - simulateGemmCyclesTick visits every cycle from 0 and polls all
+ *    arrays, 10^3-10^4x slower.
+ *  - simulateGemmCyclesNoReplay runs the coalesced loop without
+ *    replay, for shapes too large to tick.
+ */
+CycleStats simulateGemmCyclesTick(const hw::HardwareConfig &cfg,
+                                  const model::Op &op,
+                                  const PerfParams &params = PerfParams{});
+CycleStats
+simulateGemmCyclesNoReplay(const hw::HardwareConfig &cfg,
+                           const model::Op &op,
+                           const PerfParams &params = PerfParams{});
 
 } // namespace perf
 } // namespace acs

@@ -42,14 +42,7 @@ fingerprintGemmParams(const PerfParams &params)
     h = fnvMix(h, bits(params.pipelineFillOverlap));
     h = fnvMix(h, (params.modelPipelineFill ? 1u : 0u) |
                       (params.modelTiling ? 2u : 0u) |
-                      (params.modelL2Blocking ? 4u : 0u) |
-                      (params.tileSimEngine == TileSimEngine::LEGACY_WALK
-                           ? 8u
-                           : 0u) |
-                      (params.cycleEngine == CycleEngine::LEGACY_TICK
-                           ? 16u
-                           : 0u) |
-                      (params.cycleReplay ? 32u : 0u));
+                      (params.modelL2Blocking ? 4u : 0u));
     // The mode itself keys the entry: TILE_SIM and CYCLE_SIM timings
     // for the same (device, op) projection must never alias.
     h = fnvMix(h, static_cast<std::uint64_t>(params.gemmMode));

@@ -98,9 +98,9 @@ struct GemmCacheKeyHash
 
 /**
  * Fingerprint of the PerfParams fields that influence GEMM timing
- * (tiling fractions, efficiencies, overheads, modeling switches, and
- * the TILE_SIM engine selection). Stable within a process run; not a
- * serialization format.
+ * (tiling fractions, efficiencies, overheads, modeling switches, the
+ * GEMM mode and the CYCLE_SIM memory knobs). Stable within a process
+ * run; not a serialization format.
  */
 std::uint64_t fingerprintGemmParams(const PerfParams &params);
 

@@ -269,8 +269,8 @@ MatmulModel::time(const model::Op &op) const
     // wave-granular (TILE_SIM) or cycle-level (CYCLE_SIM) — while the
     // analytic decomposition above still labels the binding resource
     // and utilization. The summary paths skip trace materialization,
-    // and the per-run op-shape memo (PerfParams::memoizeOps, applied
-    // above this model in simulateLayer) caches simulated timings
+    // and the per-run op-shape memo (applied above this model in
+    // InferenceSimulator::simulateLayer) caches simulated timings
     // exactly like analytic ones.
     if (params_.gemmMode != GemmMode::ANALYTIC) {
         t.totalS = params_.gemmMode == GemmMode::TILE_SIM

@@ -23,8 +23,8 @@ ceilDivL(long a, long b)
 /**
  * Tile shape classes of a wave schedule, in the canonical combine
  * order. Fixing the order fixes the floating-point summation order of
- * a wave's operand bytes, which is what lets the aggregated fast path
- * and the legacy per-tile walk produce bit-identical traces.
+ * a wave's operand bytes, which is what lets the aggregated engine
+ * and the per-tile reference walk produce bit-identical traces.
  */
 enum TileClass : int
 {
@@ -255,16 +255,16 @@ runAggregated(const WaveModel &wm, const PerfParams &params, GemmTrace *trace)
 }
 
 /**
- * The original per-tile wave walk, retained as the O(total tiles)
- * reference implementation. Jobs are assigned round-robin in
- * (batch, mi, ni) order; a wave's compute time is its slowest tile
- * and its fetch traffic is the operand slabs it touches. The walk
- * classifies every tile individually but combines each wave's operand
- * bytes from the resulting class tallies via the same canonical-order
- * helper as the fast path, so the two paths are bit-comparable.
+ * The original per-tile wave walk (simulateGemmTileWalk), O(total
+ * tiles). Jobs are assigned round-robin in (batch, mi, ni) order; a
+ * wave's compute time is its slowest tile and its fetch traffic is
+ * the operand slabs it touches. The walk classifies every tile
+ * individually but combines each wave's operand bytes from the
+ * resulting class tallies via the same canonical-order helper as the
+ * aggregated engine, so the two are bit-comparable.
  */
 GemmSummary
-runLegacyWalk(const WaveModel &wm, const PerfParams &params, GemmTrace *trace)
+runTileWalk(const WaveModel &wm, const PerfParams &params, GemmTrace *trace)
 {
     double l2_free = 0.0, hbm_free = 0.0, compute_free = 0.0;
     long job = 0;
@@ -320,10 +320,14 @@ runLegacyWalk(const WaveModel &wm, const PerfParams &params, GemmTrace *trace)
     return summary;
 }
 
-/** Shared validation + dispatch for both entry points. */
+/** A wave loop: runAggregated or the reference runTileWalk. */
+using WaveLoop = GemmSummary (*)(const WaveModel &, const PerfParams &,
+                                 GemmTrace *);
+
+/** Shared validation and schedule setup of every entry point. */
 GemmSummary
 simulate(const hw::HardwareConfig &cfg, const model::Op &op,
-         const PerfParams &params, GemmTrace *trace)
+         const PerfParams &params, GemmTrace *trace, WaveLoop loop)
 {
     cfg.validate();
     fatalIf(op.kind != model::OpKind::MATMUL,
@@ -336,10 +340,7 @@ simulate(const hw::HardwareConfig &cfg, const model::Op &op,
     const TileChoice tiles = chooseTiles(cfg, mm, params);
     const WaveModel wm(cfg, op, params, tiles);
 
-    GemmSummary summary =
-        params.tileSimEngine == TileSimEngine::LEGACY_WALK
-            ? runLegacyWalk(wm, params, trace)
-            : runAggregated(wm, params, trace);
+    GemmSummary summary = loop(wm, params, trace);
     summary.tileM = tiles.tileM;
     summary.tileN = tiles.tileN;
 
@@ -351,14 +352,13 @@ simulate(const hw::HardwareConfig &cfg, const model::Op &op,
     return summary;
 }
 
-} // anonymous namespace
-
+/** simulate() with the per-wave trace materialized. */
 GemmTrace
-simulateGemm(const hw::HardwareConfig &cfg, const model::Op &op,
-             const PerfParams &params)
+simulateTrace(const hw::HardwareConfig &cfg, const model::Op &op,
+              const PerfParams &params, WaveLoop loop)
 {
     GemmTrace trace;
-    const GemmSummary summary = simulate(cfg, op, params, &trace);
+    const GemmSummary summary = simulate(cfg, op, params, &trace, loop);
     trace.tileM = summary.tileM;
     trace.tileN = summary.tileN;
     trace.totalS = summary.totalS;
@@ -366,11 +366,27 @@ simulateGemm(const hw::HardwareConfig &cfg, const model::Op &op,
     return trace;
 }
 
+} // anonymous namespace
+
+GemmTrace
+simulateGemm(const hw::HardwareConfig &cfg, const model::Op &op,
+             const PerfParams &params)
+{
+    return simulateTrace(cfg, op, params, runAggregated);
+}
+
 GemmSummary
 simulateGemmSummary(const hw::HardwareConfig &cfg, const model::Op &op,
                     const PerfParams &params)
 {
-    return simulate(cfg, op, params, nullptr);
+    return simulate(cfg, op, params, nullptr, runAggregated);
+}
+
+GemmTrace
+simulateGemmTileWalk(const hw::HardwareConfig &cfg, const model::Op &op,
+                     const PerfParams &params)
+{
+    return simulateTrace(cfg, op, params, runTileWalk);
 }
 
 } // namespace perf

@@ -16,6 +16,9 @@
  *  - simulateGemm materializes the full per-wave trace;
  *  - simulateGemmSummary returns only the scalars a sweep needs
  *    (latency, wave count, tile count) without allocating WaveRecords.
+ *
+ * simulateGemmTileWalk is the test reference: the original per-tile
+ * walk of the same schedule, which the engine must match bit for bit.
  */
 
 #ifndef ACS_PERF_TILE_SIM_HH
@@ -82,10 +85,8 @@ struct GemmSummary
  * with fetch_ready_i tracking the shared global-buffer and HBM
  * service queues.
  *
- * `params.tileSimEngine` selects the implementation: AGGREGATED (the
- * default) derives each wave from O(1) shape-class counts; LEGACY_WALK
- * is the original O(total tiles) per-tile walk. Both produce
- * bit-identical traces.
+ * Each wave comes from O(1) shape-class counts (closed-form wave
+ * aggregation), so the cost is O(waves), not O(total tiles).
  *
  * @param cfg    Device (validated).
  * @param op     Operator with kind == MATMUL (fatal otherwise).
@@ -106,6 +107,16 @@ GemmTrace simulateGemm(const hw::HardwareConfig &cfg,
 GemmSummary simulateGemmSummary(const hw::HardwareConfig &cfg,
                                 const model::Op &op,
                                 const PerfParams &params = PerfParams{});
+
+/**
+ * Test reference: the original O(total tiles) walk that classifies
+ * every tile of every wave individually. Same schedule and recurrence
+ * as simulateGemm, which must reproduce its trace bit for bit
+ * (tests/test_gemm_property.cpp). Production code never calls it.
+ */
+GemmTrace simulateGemmTileWalk(const hw::HardwareConfig &cfg,
+                               const model::Op &op,
+                               const PerfParams &params = PerfParams{});
 
 } // namespace perf
 } // namespace acs

@@ -190,8 +190,7 @@ class ClusterState
     ClusterState(const ClusterConfig &cfg, TraceWorkload &trace)
         : cfg_(cfg), trace_(trace),
           policy_(cfg.customPolicy ? cfg.customPolicy
-                                   : routingPolicy(cfg.routing)),
-          events_(cfg.queueEngine)
+                                   : routingPolicy(cfg.routing))
     {
         cfg_.validate();
         for (std::size_t p = 0; p < cfg_.pools.size(); ++p) {

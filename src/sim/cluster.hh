@@ -123,15 +123,6 @@ struct ClusterConfig
     bool recordTbtGaps = true;
 
     /**
-     * Pending-event structure of the shared cluster event queue.
-     * Purely a performance switch — both engines pop in identical
-     * (time, seq) order (sim/event.hh), so results are bit-identical.
-     * Pools keep their own SchedulerConfig::queueEngine untouched;
-     * only this field drives the cluster's single global queue.
-     */
-    QueueEngine queueEngine = QueueEngine::CALENDAR;
-
-    /**
      * Fatal unless pools are well-formed and the role mix is
      * serviceable (at least one MONOLITHIC or PREFILL pool; PREFILL
      * and DECODE pools only ever appear together).

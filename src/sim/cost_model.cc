@@ -37,10 +37,9 @@ IterationCostModel::IterationCostModel(
     const hw::HardwareConfig &cfg,
     const model::TransformerConfig &model_cfg,
     const model::InferenceSetting &reference,
-    const perf::SystemConfig &sys, const perf::PerfParams &params,
-    MemoEngine memo)
+    const perf::SystemConfig &sys, const perf::PerfParams &params)
     : sim_(cfg, params), modelCfg_(model_cfg), ref_(reference),
-      sys_(sys), memo_(memo)
+      sys_(sys)
 {
     modelCfg_.validate();
     ref_.validate();
@@ -100,39 +99,21 @@ IterationCostModel::prefillS(int batch, int prompt_len) const
     if (prompt_len < 1)
         fatal("prefillS: prompt_len must be >= 1");
 
-    if (memo_ == MemoEngine::FLAT) {
-        const std::uint64_t key = prefillKey(batch, prompt_len);
-        double value = 0.0;
-        if (prefillFlat_.find(key, &value)) {
-            obs::counterAdd("sim.cost.prefill_hits");
-            return value;
-        }
-        if (prefillFlat_.overflows() > 0 &&
-            overflow_.find(key, &value)) {
-            obs::counterAdd("sim.cost.prefill_hits");
-            return value;
-        }
-        value = computePrefillS(batch, prompt_len);
-        obs::counterAdd("sim.cost.prefill_misses");
-        if (!prefillFlat_.insert(key, value))
-            overflow_.insert(key, value);
+    const std::uint64_t key = prefillKey(batch, prompt_len);
+    double value = 0.0;
+    if (prefillFlat_.find(key, &value)) {
+        obs::counterAdd("sim.cost.prefill_hits");
         return value;
     }
-
-    const std::pair<int, int> key{batch, prompt_len};
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it = prefillMemo_.find(key);
-        if (it != prefillMemo_.end()) {
-            obs::counterAdd("sim.cost.prefill_hits");
-            return it->second;
-        }
+    if (prefillFlat_.overflows() > 0 && overflow_.find(key, &value)) {
+        obs::counterAdd("sim.cost.prefill_hits");
+        return value;
     }
-    const double latency = computePrefillS(batch, prompt_len);
+    value = computePrefillS(batch, prompt_len);
     obs::counterAdd("sim.cost.prefill_misses");
-    std::lock_guard<std::mutex> lock(mu_);
-    prefillMemo_.emplace(key, latency);
-    return latency;
+    if (!prefillFlat_.insert(key, value))
+        overflow_.insert(key, value);
+    return value;
 }
 
 double
@@ -141,48 +122,28 @@ IterationCostModel::decodeStepS(int batch) const
     if (batch < 1)
         fatal("decodeStepS: batch must be >= 1");
 
-    if (memo_ == MemoEngine::FLAT) {
-        const std::uint64_t key = decodeKey(batch);
-        double value = 0.0;
-        if (decodeFlat_.find(key, &value)) {
-            obs::counterAdd("sim.cost.decode_hits");
-            return value;
-        }
-        if (decodeFlat_.overflows() > 0 &&
-            overflow_.find(key, &value)) {
-            obs::counterAdd("sim.cost.decode_hits");
-            return value;
-        }
-        value = computeDecodeStepS(batch);
-        obs::counterAdd("sim.cost.decode_misses");
-        if (!decodeFlat_.insert(key, value))
-            overflow_.insert(key, value);
+    const std::uint64_t key = decodeKey(batch);
+    double value = 0.0;
+    if (decodeFlat_.find(key, &value)) {
+        obs::counterAdd("sim.cost.decode_hits");
         return value;
     }
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it = decodeMemo_.find(batch);
-        if (it != decodeMemo_.end()) {
-            obs::counterAdd("sim.cost.decode_hits");
-            return it->second;
-        }
+    if (decodeFlat_.overflows() > 0 && overflow_.find(key, &value)) {
+        obs::counterAdd("sim.cost.decode_hits");
+        return value;
     }
-    const double latency = computeDecodeStepS(batch);
+    value = computeDecodeStepS(batch);
     obs::counterAdd("sim.cost.decode_misses");
-    std::lock_guard<std::mutex> lock(mu_);
-    decodeMemo_.emplace(batch, latency);
-    return latency;
+    if (!decodeFlat_.insert(key, value))
+        overflow_.insert(key, value);
+    return value;
 }
 
 std::size_t
 IterationCostModel::memoMisses() const
 {
-    if (memo_ == MemoEngine::FLAT)
-        return prefillFlat_.entries() + decodeFlat_.entries() +
-               overflow_.stats().entries;
-    std::lock_guard<std::mutex> lock(mu_);
-    return prefillMemo_.size() + decodeMemo_.size();
+    return prefillFlat_.entries() + decodeFlat_.entries() +
+           overflow_.stats().entries;
 }
 
 } // namespace sim

@@ -17,31 +17,22 @@
  * memo is a bit-exact speedup, shared safely across the replica
  * simulations a fleet-sizing search fans out.
  *
- * Two interchangeable memo engines (same LEGACY reference pattern as
- * the event queue):
- *
- *  - FLAT (default): lock-free open-addressing tables
- *    (common::AtomicFlatMemo) over the quantized key space — a hit is
- *    a hash plus a couple of atomic loads, with no mutex on the hot
- *    path. The tables are fixed-capacity; should a pathological
- *    workload overflow them, misses spill into an unbounded
- *    common::ShardedCache tier (lock-striped, read-mostly), so
- *    memoization never silently degrades to recompute-every-call.
- *    Both tiers live in the model itself, which sizeFleet /
- *    sizeDisaggFleet share across every replica they fan out — one
- *    probe's misses are all later probes' hits.
- *  - LEGACY_MAP: the original mutex + std::map path, kept as the
- *    bit-identity reference (tests compare the two engines
- *    EXPECT_DOUBLE_EQ on randomized key sequences).
+ * The memo is a pair of lock-free open-addressing tables
+ * (common::AtomicFlatMemo) over the quantized key space — a hit is a
+ * hash plus a couple of atomic loads, with no mutex on the hot path.
+ * The tables are fixed-capacity; should a pathological workload
+ * overflow them, misses spill into an unbounded common::ShardedCache
+ * tier (lock-striped, read-mostly), so memoization never silently
+ * degrades to recompute-every-call. Both tiers live in the model
+ * itself, which sizeFleet / sizeDisaggFleet share across every
+ * replica they fan out — one probe's misses are all later probes'
+ * hits.
  */
 
 #ifndef ACS_SIM_COST_MODEL_HH
 #define ACS_SIM_COST_MODEL_HH
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <utility>
 
 #include "common/flat_memo.hh"
 #include "common/sharded_cache.hh"
@@ -50,20 +41,12 @@
 namespace acs {
 namespace sim {
 
-/** Which memo structure an IterationCostModel runs on. */
-enum class MemoEngine
-{
-    FLAT,       //!< lock-free flat tables + sharded overflow (fast)
-    LEGACY_MAP, //!< original mutex + std::map reference
-};
-
 /**
  * Memoized per-iteration latency and memory footprint oracle for one
  * (device, model, system) triple.
  *
- * Thread-safe: FLAT reads are lock-free and inserts are atomic
- * first-writer-wins; the LEGACY_MAP engine guards its maps with a
- * mutex. Either way a racing double-compute stores identical bits
+ * Thread-safe: reads are lock-free and inserts are atomic
+ * first-writer-wins. A racing double-compute stores identical bits
  * (values are deterministic), so concurrent replica simulations can
  * share one model freely.
  */
@@ -79,15 +62,13 @@ class IterationCostModel
      *                  batches come from the scheduler).
      * @param sys       Tensor-parallel system configuration.
      * @param params    Performance-model constants.
-     * @param memo      Memo engine (FLAT unless A/B-testing).
      */
     IterationCostModel(const hw::HardwareConfig &cfg,
                        const model::TransformerConfig &model_cfg,
                        const model::InferenceSetting &reference,
                        const perf::SystemConfig &sys,
                        const perf::PerfParams &params =
-                           perf::PerfParams{},
-                       MemoEngine memo = MemoEngine::FLAT);
+                           perf::PerfParams{});
 
     /**
      * Full-model latency of one prefill iteration processing @p batch
@@ -119,8 +100,6 @@ class IterationCostModel
     /** Distinct simulator evaluations performed so far (memo misses). */
     std::size_t memoMisses() const;
 
-    MemoEngine memoEngine() const { return memo_; }
-
     const hw::HardwareConfig &device() const { return sim_.device(); }
     const model::TransformerConfig &model() const { return modelCfg_; }
     const model::InferenceSetting &reference() const { return ref_; }
@@ -135,20 +114,14 @@ class IterationCostModel
     model::TransformerConfig modelCfg_;
     model::InferenceSetting ref_;
     perf::SystemConfig sys_;
-    MemoEngine memo_;
     double weightBytes_ = 0.0;
     double kvBytesPerToken_ = 0.0;
     double kvBudget_ = 0.0;
 
-    // FLAT engine: lock-free first tier + unbounded spill tier.
+    // Lock-free first tier + unbounded spill tier.
     mutable common::AtomicFlatMemo prefillFlat_{1 << 13};
     mutable common::AtomicFlatMemo decodeFlat_{1 << 10};
     mutable common::ShardedCache<std::uint64_t, double> overflow_{8};
-
-    // LEGACY_MAP engine.
-    mutable std::mutex mu_; //!< guards both memo maps
-    mutable std::map<std::pair<int, int>, double> prefillMemo_;
-    mutable std::map<int, double> decodeMemo_;
 };
 
 } // namespace sim

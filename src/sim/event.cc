@@ -1,63 +1,18 @@
 #include "event.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "common/logging.hh"
 
 namespace acs {
 namespace sim {
 
-namespace {
-
-/** Exact (time, seq) ordering shared by both engines. */
-bool
-earlier(const Event &a, const Event &b)
-{
-    if (a.timeS != b.timeS)
-        return a.timeS < b.timeS;
-    return a.seq < b.seq;
-}
-
-/**
- * Abs-bucket ceiling: times whose floor(t / width) would overflow
- * 64 bits all collapse into this one far-future index. Monotone, so
- * ordering inside the clamped bucket still resolves by exact
- * (time, seq) comparison.
- */
-constexpr std::uint64_t kMaxAbs = 9'000'000'000'000'000'000ULL;
-
-} // anonymous namespace
-
-EventQueue::EventQueue(QueueEngine engine) : engine_(engine)
-{
-    if (engine_ == QueueEngine::CALENDAR)
-        buckets_.resize(4);
-}
-
-std::uint64_t
-EventQueue::absIndexOf(double time_s) const
-{
-    const double q = time_s / width_;
-    if (!(q < 9.0e18))
-        return kMaxAbs;
-    return static_cast<std::uint64_t>(q);
-}
-
 void
 EventQueue::reserve(std::size_t expected)
 {
-    if (engine_ == QueueEngine::LEGACY_HEAP) {
-        heap_.reserve(expected);
-        return;
-    }
-    const std::size_t target =
-        std::bit_ceil(std::max<std::size_t>(4, expected));
-    if (target > buckets_.size())
-        rebuild(target);
+    heap_.reserve(expected);
 }
 
 void
@@ -71,149 +26,27 @@ EventQueue::push(double time_s, EventKind kind, std::uint64_t payload)
     if (!(time_s >= 0.0))
         panic("EventQueue: event time must be >= 0, got " +
               std::to_string(time_s));
-    const Event e{time_s, nextSeq_++, kind, payload};
-    if (engine_ == QueueEngine::LEGACY_HEAP) {
-        heap_.push_back(e);
-        std::push_heap(heap_.begin(), heap_.end(), After{});
-    } else {
-        calendarPush(e);
-    }
-    ++size_;
-}
-
-void
-EventQueue::calendarPush(const Event &e)
-{
-    if (size_ + 1 > 2 * buckets_.size())
-        rebuild(buckets_.size() * 2);
-    const std::uint64_t abs = absIndexOf(e.timeS);
-    // An event behind the scan cursor pulls it back, preserving the
-    // invariant that every pending event has abs >= cursor_.
-    if (abs < cursor_)
-        cursor_ = abs;
-    buckets_[abs & (buckets_.size() - 1)].push_back(Slot{e, abs});
-}
-
-std::pair<std::size_t, std::size_t>
-EventQueue::locate() const
-{
-    const std::size_t nb = buckets_.size();
-    // One lap of the calendar: take the (time, seq) minimum among
-    // events of the cursor's absolute bucket; empty laps advance the
-    // cursor persistently.
-    for (std::size_t attempts = 0; attempts < nb; ++attempts) {
-        const std::size_t b =
-            static_cast<std::size_t>(cursor_ & (nb - 1));
-        const std::vector<Slot> &bucket = buckets_[b];
-        std::size_t best = bucket.size();
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            if (bucket[i].abs > cursor_)
-                continue; // a later lap of this bucket
-            if (best == bucket.size() ||
-                earlier(bucket[i].ev, bucket[best].ev))
-                best = i;
-        }
-        if (best != bucket.size())
-            return {b, best};
-        ++cursor_;
-    }
-    // Sparse tail (e.g. one think-time wake-up far in the future):
-    // direct search for the global minimum, then jump the cursor to
-    // it instead of walking empty laps.
-    std::size_t best_b = nb;
-    std::size_t best_i = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-        const std::vector<Slot> &bucket = buckets_[b];
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            if (best_b == nb ||
-                earlier(bucket[i].ev, buckets_[best_b][best_i].ev)) {
-                best_b = b;
-                best_i = i;
-            }
-        }
-    }
-    if (best_b == nb)
-        panic("EventQueue: locate on empty calendar");
-    cursor_ = buckets_[best_b][best_i].abs;
-    return {best_b, best_i};
+    heap_.push_back(Event{time_s, nextSeq_++, kind, payload});
+    std::push_heap(heap_.begin(), heap_.end(), After{});
 }
 
 Event
 EventQueue::pop()
 {
-    if (size_ == 0)
+    if (heap_.empty())
         panic("EventQueue: pop on empty queue");
-    --size_;
-    if (engine_ == QueueEngine::LEGACY_HEAP) {
-        std::pop_heap(heap_.begin(), heap_.end(), After{});
-        const Event e = heap_.back();
-        heap_.pop_back();
-        return e;
-    }
-    const auto [b, i] = locate();
-    std::vector<Slot> &bucket = buckets_[b];
-    const Event e = bucket[i].ev;
-    bucket[i] = bucket.back(); // selection is by value, order is free
-    bucket.pop_back();
+    std::pop_heap(heap_.begin(), heap_.end(), After{});
+    const Event e = heap_.back();
+    heap_.pop_back();
     return e;
 }
 
 const Event &
 EventQueue::peek() const
 {
-    if (size_ == 0)
+    if (heap_.empty())
         panic("EventQueue: peek on empty queue");
-    if (engine_ == QueueEngine::LEGACY_HEAP)
-        return heap_.front();
-    const auto [b, i] = locate();
-    return buckets_[b][i].ev;
-}
-
-void
-EventQueue::rebuild(std::size_t nbuckets)
-{
-    std::vector<Slot> all;
-    all.reserve(size_);
-    for (std::vector<Slot> &bucket : buckets_) {
-        all.insert(all.end(), bucket.begin(), bucket.end());
-        bucket.clear();
-    }
-    buckets_.resize(std::bit_ceil(std::max<std::size_t>(4, nbuckets)));
-
-    // Re-estimate the bucket width from the observed inter-event
-    // gaps near the front of the schedule (a deterministic sample:
-    // far-future outliers such as think-time wake-ups would otherwise
-    // stretch the width until everything aliased into one bucket).
-    if (all.size() >= 2) {
-        std::vector<double> times;
-        times.reserve(all.size());
-        for (const Slot &s : all)
-            times.push_back(s.ev.timeS);
-        std::sort(times.begin(), times.end());
-        const std::size_t sample =
-            std::min<std::size_t>(times.size(), 65);
-        double gap_sum = 0.0;
-        std::size_t gaps = 0;
-        for (std::size_t i = 1; i < sample; ++i) {
-            const double gap = times[i] - times[i - 1];
-            if (gap > 0.0) {
-                gap_sum += gap;
-                ++gaps;
-            }
-        }
-        if (gaps > 0 && gap_sum > 0.0)
-            width_ = 2.0 * gap_sum / static_cast<double>(gaps);
-    }
-
-    cursor_ = kMaxAbs;
-    for (const Slot &s : all) {
-        const std::uint64_t abs = absIndexOf(s.ev.timeS);
-        cursor_ = std::min(cursor_, abs);
-        buckets_[abs & (buckets_.size() - 1)].push_back(
-            Slot{s.ev, abs});
-    }
-    if (all.empty())
-        cursor_ = 0;
+    return heap_.front();
 }
 
 } // namespace sim

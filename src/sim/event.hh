@@ -9,29 +9,11 @@
  * run's event interleaving — and therefore every downstream metric —
  * is a pure function of the inputs and the RNG seed.
  *
- * Two interchangeable engines implement that contract (the PR 3
- * LEGACY_WALK pattern: keep the slow reference selectable and
- * property-test bit-identity against it):
- *
- *  - CALENDAR (default): an indexed calendar/bucket queue. Virtual
- *    time is cut into fixed-width buckets; an event lands in bucket
- *    floor(time / width) mod nbuckets, and pop scans forward from a
- *    persistent cursor, taking the (time, seq)-minimum among events
- *    whose absolute bucket index equals the cursor. Push and pop are
- *    amortized O(1) instead of the heap's O(log n), and — decisive
- *    for the trace-scale fast path — popping the minimum is a
- *    swap-with-back from a small vector, not a sift-down. The bucket
- *    array doubles (and the width re-estimates from the observed
- *    inter-event gaps) when occupancy outgrows it. Ordering never
- *    depends on the bucket geometry: eligibility is an exact integer
- *    comparison of floor(time / width) values computed identically
- *    at push and scan time, and the (time, seq) minimum is selected
- *    with exact comparisons, so the pop sequence is bit-identical to
- *    the heap's for every width/bucket-count state.
- *
- *  - LEGACY_HEAP: the original binary min-heap, kept as the
- *    reference implementation. tests/test_sim.cpp property-tests
- *    identical pop order on randomized schedules.
+ * The queue is a binary min-heap. Pending events stay few even at
+ * trace scale: measured, every replica run of perfbench's fleet-size
+ * sizeFleet held at most 2, and its 1.2M-request cluster replay at
+ * most 15. At that depth an O(log n) sift is cheaper than the
+ * bookkeeping of a bucketed (calendar) queue.
  */
 
 #ifndef ACS_SIM_EVENT_HH
@@ -61,16 +43,9 @@ struct Event
     std::uint64_t payload = 0; //!< kind-specific (e.g. client index)
 };
 
-/** Which pending-event structure an EventQueue runs on. */
-enum class QueueEngine
-{
-    CALENDAR,    //!< indexed calendar/bucket queue (the fast path)
-    LEGACY_HEAP, //!< original binary min-heap reference
-};
-
 /**
- * Deterministic queue of pending events (see the file comment for
- * the two engines; both pop in exact (time, seq) order).
+ * Deterministic queue of pending events, popped in exact (time, seq)
+ * order.
  *
  * Not thread-safe: one queue belongs to one replica simulation, and
  * the event loop itself is single-threaded by design (fleet-sizing
@@ -79,8 +54,6 @@ enum class QueueEngine
 class EventQueue
 {
   public:
-    explicit EventQueue(QueueEngine engine = QueueEngine::CALENDAR);
-
     /**
      * Pre-size the internal storage for about @p expected pending
      * events, so the steady-state loop never allocates. Replica and
@@ -101,41 +74,10 @@ class EventQueue
     /** Earliest pending event without removing it (fatal when empty). */
     const Event &peek() const;
 
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
-    QueueEngine engine() const { return engine_; }
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
 
   private:
-    /** Calendar slot: the event plus its precomputed abs. bucket. */
-    struct Slot
-    {
-        Event ev;
-        std::uint64_t abs = 0; //!< floor(timeS / width_) at push time
-    };
-
-    std::uint64_t absIndexOf(double time_s) const;
-    void calendarPush(const Event &e);
-    /** (bucket, index) of the earliest calendar event. */
-    std::pair<std::size_t, std::size_t> locate() const;
-    /** Re-bucket everything into @p nbuckets, re-estimating width. */
-    void rebuild(std::size_t nbuckets);
-
-    QueueEngine engine_;
-    std::uint64_t nextSeq_ = 0;
-    std::size_t size_ = 0;
-
-    // --- CALENDAR state ---
-    std::vector<std::vector<Slot>> buckets_;
-    double width_ = 1.0; //!< seconds of virtual time per bucket
-    /**
-     * Scan cursor: every pending event has abs >= cursor_ (pushes
-     * behind the cursor pull it back). locate() advances it past
-     * exhausted buckets, so the state persists across pops; mutable
-     * because peek() shares the scan.
-     */
-    mutable std::uint64_t cursor_ = 0;
-
-    // --- LEGACY_HEAP state ---
     /** Later (time, seq) sorts lower, making front() the earliest. */
     struct After
     {
@@ -148,6 +90,7 @@ class EventQueue
         }
     };
 
+    std::uint64_t nextSeq_ = 0;
     std::vector<Event> heap_;
 };
 

@@ -175,10 +175,6 @@ sizeDisaggFleet(const DisaggPoolSpec &prefill,
     base.kvTransfer = kv;
     base.routing = routing;
     base.slo = slo;
-    // The cluster's shared event queue inherits the prefill pool's
-    // engine choice, so a LEGACY_HEAP caller gets the reference path
-    // end to end.
-    base.queueEngine = prefill.scheduler.queueEngine;
 
     // Every (P, D) pair simulates at most once, fed by a fresh
     // Poisson trace from the same seed so probes are comparable.

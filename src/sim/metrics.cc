@@ -154,6 +154,27 @@ SloTargets::validate() const
             "SloTargets: percentile must be in (0, 100]");
 }
 
+namespace {
+
+/**
+ * A run that completed requests without recording them has no
+ * samples to judge: without this check it would pass every SLO.
+ */
+void
+requireRecords(const ReplicaMetrics &m, bool gaps_too)
+{
+    fatalIf(m.requests.empty() && m.completed > 0,
+            "SLO check on a run with recordRequests off: " +
+                std::to_string(m.completed) +
+                " requests completed, none recorded");
+    fatalIf(gaps_too && m.tbtGapsS.empty() && m.tbtHist.count > 0,
+            "SLO check on a run with recordTbtGaps off: " +
+                std::to_string(m.tbtHist.count) +
+                " decode gaps occurred, none recorded");
+}
+
+} // anonymous namespace
+
 LatencyRollup
 ReplicaMetrics::ttft() const
 {
@@ -174,6 +195,7 @@ double
 ReplicaMetrics::attainment(const SloTargets &slo) const
 {
     slo.validate();
+    requireRecords(*this, false);
     if (requests.empty())
         return 1.0;
     std::size_t met = 0;
@@ -190,6 +212,7 @@ double
 ReplicaMetrics::goodputTokensPerS(const SloTargets &slo) const
 {
     slo.validate();
+    requireRecords(*this, false);
     if (lastEventS <= 0.0)
         return 0.0;
     double tokens = 0.0;
@@ -207,6 +230,7 @@ bool
 ReplicaMetrics::meetsSlo(const SloTargets &slo) const
 {
     slo.validate();
+    requireRecords(*this, true);
     if (requests.empty())
         return true;
     std::vector<double> ttft_samples;

@@ -184,17 +184,23 @@ struct ReplicaMetrics
     /**
      * Fraction of completed requests meeting both SLO bounds
      * individually (TTFT, and mean TBT for multi-token outputs);
-     * 1.0 when no requests completed.
+     * 1.0 when no requests completed. Fatal when requests completed
+     * but none was recorded (recordRequests off).
      */
     double attainment(const SloTargets &slo) const;
 
     /**
      * Tokens per second of SLO-attaining requests over the simulated
      * span — throughput that actually counts toward the objectives.
+     * Fatal when requests completed but none was recorded.
      */
     double goodputTokensPerS(const SloTargets &slo) const;
 
-    /** Whether the run's percentiles meet @p slo. */
+    /**
+     * Whether the run's percentiles meet @p slo. Fatal when requests
+     * completed but none was recorded, or when decode gaps occurred
+     * but none was recorded (recordTbtGaps off).
+     */
     bool meetsSlo(const SloTargets &slo) const;
 
     /**

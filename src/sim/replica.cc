@@ -44,8 +44,7 @@ class ReplicaState
           arrivalRng_(substreamSeed(cfg.workload.seed, 0)),
           lengthRng_(substreamSeed(cfg.workload.seed, 1)),
           kvBudget_(cost.kvBudgetBytes() *
-                    cfg.scheduler.kvMemoryFraction),
-          events_(cfg.scheduler.queueEngine)
+                    cfg.scheduler.kvMemoryFraction)
     {}
 
     /**
@@ -58,8 +57,7 @@ class ReplicaState
           arrivalRng_(substreamSeed(cfg.workload.seed, 0)),
           lengthRng_(substreamSeed(cfg.workload.seed, 1)),
           kvBudget_(cost.kvBudgetBytes() *
-                    cfg.scheduler.kvMemoryFraction),
-          events_(cfg.scheduler.queueEngine)
+                    cfg.scheduler.kvMemoryFraction)
     {}
 
     ReplicaMetrics run();
@@ -348,13 +346,6 @@ simulateReplica(const IterationCostModel &cost,
 {
     ReplicaConfig cfg;
     cfg.scheduler = sched;
-    return ReplicaState(cost, cfg, trace).run();
-}
-
-ReplicaMetrics
-simulateReplica(const IterationCostModel &cost,
-                const ReplicaConfig &cfg, TraceWorkload &trace)
-{
     return ReplicaState(cost, cfg, trace).run();
 }
 

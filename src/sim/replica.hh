@@ -56,16 +56,6 @@ struct SchedulerConfig
      */
     double kvMemoryFraction = 0.9;
 
-    /**
-     * Pending-event structure of the simulation this scheduler
-     * drives. Purely a performance switch: both engines pop in
-     * identical (time, seq) order, so results are bit-identical
-     * (docs/SERVING.md). Rides along here because SchedulerConfig
-     * reaches every simulation entry point — replica, fleet sizing,
-     * and cluster pools.
-     */
-    QueueEngine queueEngine = QueueEngine::CALENDAR;
-
     /** Fatal unless caps are positive and the fraction in (0, 1]. */
     void validate() const;
 };
@@ -83,7 +73,8 @@ struct ReplicaConfig
      * histograms are populated either way — to keep memory O(batch)
      * and skip the gigabyte-scale vector growth and O(n log n)
      * percentile sorts. attainment()/goodputTokensPerS()/meetsSlo()
-     * need recordRequests/recordTbtGaps respectively.
+     * need recordRequests, and meetsSlo() also recordTbtGaps; they
+     * are fatal on a run that completed requests without them.
      */
     bool recordRequests = true;
     bool recordTbtGaps = true;
@@ -114,15 +105,6 @@ ReplicaMetrics simulateReplica(const IterationCostModel &cost,
  */
 ReplicaMetrics simulateReplica(const IterationCostModel &cost,
                                const SchedulerConfig &sched,
-                               TraceWorkload &trace);
-
-/**
- * Trace-replay overload taking a full ReplicaConfig so callers can
- * set the record switches (cfg.workload is ignored — arrivals and
- * lengths come from the trace).
- */
-ReplicaMetrics simulateReplica(const IterationCostModel &cost,
-                               const ReplicaConfig &cfg,
                                TraceWorkload &trace);
 
 } // namespace sim

@@ -5,8 +5,8 @@
  *
  *  - Exactness: on the paper's fig06 (Table 3) and fig07 spaces the
  *    adaptive search returns bit-identical argmin designs — config,
- *    metrics, and enumeration-index tie-break — to the exhaustive
- *    stream, while evaluating under 30% of the space. A randomized
+ *    metrics, and enumeration-index tie-break — to exhaustive
+ *    evaluation, while evaluating under 30% of the space. A randomized
  *    space generator fuzzes the same property.
  *  - Checkpoint/resume: a run killed mid-search (maxEvaluations)
  *    resumes from its snapshot to a final checkpoint byte-identical
@@ -30,6 +30,7 @@
 #include "dse/checkpoint.hh"
 #include "dse/evaluate.hh"
 #include "dse/sweep.hh"
+#include "exhaustive.hh"
 
 namespace acs {
 namespace dse {
@@ -53,34 +54,39 @@ slurp(const std::string &path)
     return out.str();
 }
 
-/** Adaptive argmins must equal the exhaustive stream's bit-for-bit. */
+/** Adaptive argmins must equal exhaustive evaluation's bit-for-bit. */
 void
 expectMatchesExhaustive(const SweepSpace &space, const core::Workload &w,
                         double max_fraction)
 {
     const DesignEvaluator evaluator(w.model, w.setting, w.system);
-    const StreamStats exhaustive = evaluator.evaluateStream(space);
+    const Exhaustive exhaustive = evaluateExhaustive(evaluator, space);
 
     AdaptiveSearch search(evaluator, space);
     const AdaptiveResult res = search.run();
 
-    ASSERT_TRUE(exhaustive.bestTtft.has_value());
+    ASSERT_TRUE(exhaustive.bestTtft && exhaustive.bestTbt);
     ASSERT_TRUE(res.bestTtft.has_value());
     ASSERT_TRUE(res.bestTbt.has_value());
     EXPECT_TRUE(res.complete);
-    EXPECT_EQ(res.bestTtftIndex, exhaustive.bestTtftIndex);
-    EXPECT_EQ(res.bestTbtIndex, exhaustive.bestTbtIndex);
-    EXPECT_EQ(res.bestTtft->ttftS, exhaustive.bestTtft->ttftS);
-    EXPECT_EQ(res.bestTtft->tbtS, exhaustive.bestTtft->tbtS);
-    EXPECT_EQ(res.bestTbt->ttftS, exhaustive.bestTbt->ttftS);
-    EXPECT_EQ(res.bestTbt->tbtS, exhaustive.bestTbt->tbtS);
+    const PointSample &ttft = exhaustive.samples[*exhaustive.bestTtft];
+    const PointSample &tbt = exhaustive.samples[*exhaustive.bestTbt];
+    EXPECT_EQ(res.bestTtftIndex, *exhaustive.bestTtft);
+    EXPECT_EQ(res.bestTbtIndex, *exhaustive.bestTbt);
+    EXPECT_EQ(res.bestTtft->ttftS, ttft.ttftS);
+    EXPECT_EQ(res.bestTtft->tbtS, ttft.tbtS);
+    EXPECT_EQ(res.bestTbt->ttftS, tbt.ttftS);
+    EXPECT_EQ(res.bestTbt->tbtS, tbt.tbtS);
+    const SweepPlan plan(space);
     EXPECT_EQ(res.bestTtft->config.name,
-              exhaustive.bestTtft->config.name);
-    EXPECT_EQ(res.bestTbt->config.name, exhaustive.bestTbt->config.name);
+              plan.point(*exhaustive.bestTtft).name);
+    EXPECT_EQ(res.bestTbt->config.name,
+              plan.point(*exhaustive.bestTbt).name);
     EXPECT_EQ(res.spacePoints, space.feasibleSize());
     EXPECT_LE(res.evaluated, res.shardPoints);
-    if (max_fraction < 1.0)
+    if (max_fraction < 1.0) {
         EXPECT_LT(res.fractionEvaluated, max_fraction);
+    }
 }
 
 // ---- exactness on the paper's spaces ---------------------------------------
@@ -253,6 +259,51 @@ TEST(AdaptiveCheckpoint, WriteReadRoundTripIsExact)
     std::remove(path.c_str());
 }
 
+TEST(AdaptiveCheckpoint, MalformedHeaderNumbersAreFatal)
+{
+    Checkpoint ck;
+    ck.spacePoints = 64;
+    ck.waves = 3;
+    const std::string good =
+        testing::TempDir() + "acs-ckpt-header-good.ckpt";
+    writeCheckpoint(good, ck);
+    const std::string text = slurp(good);
+    std::remove(good.c_str());
+
+    // Each case swaps one header line; the error must name the field
+    // and the file instead of aborting or blaming the command line.
+    const struct
+    {
+        const char *line;
+        const char *bad;
+        const char *field;
+    } cases[] = {
+        {"space_points 64", "space_points 99999999999999999999999",
+         "space_points"},
+        {"waves 3", "waves x", "waves"},
+        {"complete 0", "complete -1", "complete"},
+    };
+    for (const auto &c : cases) {
+        std::string corrupt = text;
+        const std::size_t at = corrupt.find(std::string(c.line) + "\n");
+        ASSERT_NE(at, std::string::npos) << c.line;
+        corrupt.replace(at, std::string(c.line).size(), c.bad);
+        const std::string path =
+            testing::TempDir() + "acs-ckpt-header-bad.ckpt";
+        std::ofstream(path) << corrupt;
+        Checkpoint back;
+        try {
+            readCheckpoint(path, &back);
+            ADD_FAILURE() << "accepted '" << c.bad << "'";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(c.field), std::string::npos) << msg;
+            EXPECT_NE(msg.find(path), std::string::npos) << msg;
+        }
+        std::remove(path.c_str());
+    }
+}
+
 TEST(AdaptiveCheckpoint, MissingFileReadsFalse)
 {
     Checkpoint ck;
@@ -290,7 +341,7 @@ TEST(AdaptiveShards, MergedShardsRecoverGlobalArgmin)
                  900.0 * units::GBPS});
     const core::Workload w = cheapWorkload(4);
     const DesignEvaluator evaluator(w.model, w.setting, w.system);
-    const StreamStats exhaustive = evaluator.evaluateStream(space);
+    const Exhaustive exhaustive = evaluateExhaustive(evaluator, space);
 
     std::vector<Checkpoint> shards;
     for (std::size_t i = 0; i < 2; ++i) {
@@ -331,9 +382,9 @@ TEST(AdaptiveShards, MergedShardsRecoverGlobalArgmin)
             have = true;
         }
     }
-    ASSERT_TRUE(have && exhaustive.bestTtft.has_value());
-    EXPECT_EQ(best_index, exhaustive.bestTtftIndex);
-    EXPECT_EQ(best, exhaustive.bestTtft->ttftS);
+    ASSERT_TRUE(have && exhaustive.bestTtft);
+    EXPECT_EQ(best_index, *exhaustive.bestTtft);
+    EXPECT_EQ(best, exhaustive.samples[*exhaustive.bestTtft].ttftS);
 
     // Frontier of the merged set: strictly tradeoff-ordered.
     const std::vector<FrontierPoint> frontier =
@@ -343,7 +394,8 @@ TEST(AdaptiveShards, MergedShardsRecoverGlobalArgmin)
         EXPECT_GT(frontier[i].ttftS, frontier[i - 1].ttftS);
         EXPECT_LT(frontier[i].tbtS, frontier[i - 1].tbtS);
     }
-    EXPECT_EQ(frontier.front().ttftS, exhaustive.bestTtft->ttftS);
+    EXPECT_EQ(frontier.front().ttftS,
+              exhaustive.samples[*exhaustive.bestTtft].ttftS);
 
     // Mismatched fingerprints must refuse to merge.
     std::vector<Checkpoint> bad = shards;

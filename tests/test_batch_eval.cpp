@@ -7,7 +7,8 @@
  * real op shapes of the paper's workloads, under every ANALYTIC-mode
  * params variation. TILE_SIM does not support batching; the sweep
  * drivers must keep producing identical results there too (scalar
- * fallback), which the end-to-end A/B test covers.
+ * fallback). The end-to-end tests pin evaluatePlanIndices to
+ * evaluateAll in both modes.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "core/study.hh"
 #include "dse/evaluate.hh"
 #include "dse/sweep.hh"
+#include "exhaustive.hh"
 #include "perf/batch_eval.hh"
 #include "perf/comm_model.hh"
 #include "perf/matmul_model.hh"
@@ -121,49 +123,48 @@ TEST(BatchEval, MatchesScalarModelsAblations)
     expectBatchMatchesScalar(core::gpt3Workload(), p);
 }
 
-/** End-to-end A/B: the streaming sweep with the batch path on vs off
- *  must produce bit-identical argmins and tallies — for ANALYTIC mode
- *  (batched vs scalar) and TILE_SIM (where the batch switch must be a
- *  no-op and the scalar/cache pipeline runs either way). */
+/**
+ * End to end: evaluatePlanIndices over every fig06 design — the SoA
+ * batch kernel under ANALYTIC, the scalar path with a call-scoped
+ * GemmCache under TILE_SIM — must match evaluateAll, one
+ * InferenceSimulator per design, bit for bit and design by design.
+ */
 void
-expectStreamABIdentical(PerfParams params)
+expectPlanIndicesMatchEvaluateAll(const core::Workload &w,
+                                  const PerfParams &params)
 {
-    const core::Workload w = core::gpt3Workload();
     const dse::SweepSpace space = fig06Space();
-
-    params.batchAnalyticEval = true;
-    const dse::DesignEvaluator on(w.model, w.setting, w.system, params);
-    const dse::StreamStats a = on.evaluateStream(space);
-
-    params.batchAnalyticEval = false;
-    const dse::DesignEvaluator off(w.model, w.setting, w.system, params);
-    const dse::StreamStats b = off.evaluateStream(space);
-
-    ASSERT_TRUE(a.bestTtft && b.bestTtft && a.bestTbt && b.bestTbt);
-    EXPECT_EQ(a.evaluated, b.evaluated);
-    EXPECT_EQ(a.kept, b.kept);
-    EXPECT_EQ(a.underReticle, b.underReticle);
-    EXPECT_EQ(a.oct2023Unregulated, b.oct2023Unregulated);
-    EXPECT_EQ(a.bestTtftIndex, b.bestTtftIndex);
-    EXPECT_EQ(a.bestTbtIndex, b.bestTbtIndex);
-    EXPECT_EQ(a.bestTtft->ttftS, b.bestTtft->ttftS);
-    EXPECT_EQ(a.bestTtft->tbtS, b.bestTtft->tbtS);
-    EXPECT_EQ(a.bestTbt->ttftS, b.bestTbt->ttftS);
-    EXPECT_EQ(a.bestTbt->tbtS, b.bestTbt->tbtS);
-    EXPECT_EQ(a.bestTtft->config.name, b.bestTtft->config.name);
-    EXPECT_EQ(a.bestTbt->config.name, b.bestTbt->config.name);
+    const dse::DesignEvaluator evaluator(w.model, w.setting, w.system,
+                                         params);
+    const std::vector<dse::EvaluatedDesign> scalar =
+        evaluator.evaluateAll(space.generate());
+    const dse::Exhaustive ex = dse::evaluateExhaustive(evaluator, space);
+    ASSERT_EQ(ex.samples.size(), scalar.size());
+    for (std::size_t i = 0; i < scalar.size(); ++i) {
+        const dse::PointSample &s = ex.samples[i];
+        const dse::EvaluatedDesign &d = scalar[i];
+        EXPECT_EQ(s.ttftS, d.ttftS) << d.config.name;
+        EXPECT_EQ(s.tbtS, d.tbtS) << d.config.name;
+        EXPECT_EQ(s.underReticle, d.underReticle) << d.config.name;
+        EXPECT_EQ(s.oct2023Unregulated,
+                  policy::Oct2023Rule::classify(d.toSpec()) ==
+                      policy::Classification::NOT_APPLICABLE)
+            << d.config.name;
+    }
 }
 
-TEST(BatchEval, StreamBatchToggleBitIdenticalAnalytic)
+TEST(BatchEval, PlanIndicesMatchEvaluateAllOnFig06)
 {
-    expectStreamABIdentical(PerfParams{});
+    for (const core::Workload &w :
+         {core::gpt3Workload(), core::llamaWorkload()})
+        expectPlanIndicesMatchEvaluateAll(w, PerfParams{});
 }
 
-TEST(BatchEval, StreamBatchToggleBitIdenticalTileSim)
+TEST(BatchEval, PlanIndicesMatchEvaluateAllTileSim)
 {
     PerfParams p;
     p.gemmMode = GemmMode::TILE_SIM;
-    expectStreamABIdentical(p);
+    expectPlanIndicesMatchEvaluateAll(core::gpt3Workload(), p);
 }
 
 } // namespace

@@ -512,42 +512,6 @@ TEST(Cluster, PhaseAffinityRoutesPrefillsToFasterPool)
               m.aggregate.arrivals);
 }
 
-/**
- * ClusterConfig::queueEngine drives the cluster's single global
- * event queue; a disaggregated run with real (nonzero-cost) KV
- * transfers exercises every event kind — including KV_DONE and the
- * slot-map transfer recycling — so calendar and heap runs must be
- * bit-identical.
- */
-TEST(Cluster, QueueEngineDoesNotChangeClusterBytes)
-{
-    const core::Workload w = testWorkload();
-    const IterationCostModel cost = testCost(w);
-    ClusterConfig cfg;
-    cfg.pools.resize(2);
-    cfg.pools[0].name = "prefill";
-    cfg.pools[0].role = PoolRole::PREFILL;
-    cfg.pools[0].cost = &cost;
-    cfg.pools[0].replicas = 2;
-    cfg.pools[1].name = "decode";
-    cfg.pools[1].role = PoolRole::DECODE;
-    cfg.pools[1].cost = &cost;
-    cfg.pools[1].replicas = 2;
-    cfg.kvTransfer.latencyS = 5e-3;
-
-    auto cal_trace = mixedFleetTrace();
-    const std::string cal =
-        fingerprint(simulateCluster(cfg, *cal_trace));
-
-    cfg.queueEngine = QueueEngine::LEGACY_HEAP;
-    auto heap_trace = mixedFleetTrace();
-    const std::string heap =
-        fingerprint(simulateCluster(cfg, *heap_trace));
-
-    EXPECT_EQ(cal, heap);
-    EXPECT_FALSE(cal.empty());
-}
-
 // ---- streaming histograms --------------------------------------------------
 
 TEST(Histogram, PercentilesWithinRelativeErrorBound)

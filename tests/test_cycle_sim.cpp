@@ -5,12 +5,13 @@
  * Three contracts, mirroring the TILE_SIM suite
  * (tests/test_gemm_property.cpp):
  *
- *  1. Bit-exactness: the event-coalesced engine — with and without
- *     periodic replay — must match the naive per-cycle LEGACY_TICK
- *     reference on every CycleStats field (cycle counts AND the stall
- *     breakdown), over randomized skinny / square / remainder-heavy
- *     shapes. replayedTiles is the one field replay is allowed (and
- *     expected) to change.
+ *  1. Bit-exactness: simulateGemmCycles (the event-coalesced loop
+ *     with periodic replay) and the coalesced loop without replay
+ *     must match the naive per-cycle reference
+ *     (simulateGemmCyclesTick) on every CycleStats field (cycle counts
+ *     AND the stall breakdown), over randomized skinny / square /
+ *     remainder-heavy shapes. replayedTiles is the one field replay
+ *     is allowed (and expected) to change.
  *  2. Regime behaviour: scratchpad-capacity serialization and DRAM
  *     bank queueing — the effects the closed forms cannot see — must
  *     appear exactly in the configurations built to provoke them.
@@ -117,18 +118,9 @@ void
 runEquivalence(const hw::HardwareConfig &cfg, const model::Op &op,
                const std::string &label)
 {
-    PerfParams tick;
-    tick.cycleEngine = CycleEngine::LEGACY_TICK;
-    PerfParams coalesced;
-    coalesced.cycleEngine = CycleEngine::COALESCED;
-    coalesced.cycleReplay = false;
-    PerfParams replay;
-    replay.cycleEngine = CycleEngine::COALESCED;
-    replay.cycleReplay = true;
-
-    const CycleStats ref = simulateGemmCycles(cfg, op, tick);
-    const CycleStats fast = simulateGemmCycles(cfg, op, coalesced);
-    const CycleStats fwd = simulateGemmCycles(cfg, op, replay);
+    const CycleStats ref = simulateGemmCyclesTick(cfg, op);
+    const CycleStats fast = simulateGemmCyclesNoReplay(cfg, op);
+    const CycleStats fwd = simulateGemmCycles(cfg, op);
     expectStatsBitIdentical(fast, ref, label + " [coalesced vs tick]");
     expectStatsBitIdentical(fwd, ref, label + " [replay vs tick]",
                             /*allow_replay=*/true);
@@ -209,10 +201,6 @@ TEST(CycleSim, ReplayFiresOnSteadyStateAndStaysExact)
     // reference is far too slow here — exactness versus live
     // coalesced (itself pinned to the tick above) is the contract.
     const hw::HardwareConfig cfg = hw::modeledA100();
-    PerfParams live;
-    live.cycleReplay = false;
-    PerfParams replay;
-    replay.cycleReplay = true;
 
     // Replay needs a long periodic interior: each array must run
     // dozens of same-class tiles so the checkpoint signatures can
@@ -230,8 +218,8 @@ TEST(CycleSim, ReplayFiresOnSteadyStateAndStaysExact)
     };
     for (const ShapeCase &sc : shapes) {
         const model::Op &op = sc.op;
-        const CycleStats a = simulateGemmCycles(cfg, op, live);
-        const CycleStats b = simulateGemmCycles(cfg, op, replay);
+        const CycleStats a = simulateGemmCyclesNoReplay(cfg, op);
+        const CycleStats b = simulateGemmCycles(cfg, op);
         const std::string label =
             "m=" + std::to_string(op.mm.m) +
             " b=" + std::to_string(op.mm.batchCount);
@@ -426,7 +414,9 @@ TEST(CycleCache, SharedCacheFanOutMatchesUncached)
 TEST(CycleCache, SweepCacheOnOffByteIdentical)
 {
     // The evaluator's hoisted sweep cache must not change a single
-    // bit of CYCLE_SIM sweep output (same contract as TILE_SIM).
+    // bit of CYCLE_SIM sweep output (same contract as TILE_SIM):
+    // evaluateAll, which hoists it, against evaluate() per design,
+    // which never does.
     core::Workload w;
     w.model = model::llama3_8b();
     w.setting = model::InferenceSetting{};
@@ -436,22 +426,17 @@ TEST(CycleCache, SweepCacheOnOffByteIdentical)
     auto cfgs = space.generate();
     cfgs.resize(std::min<std::size_t>(cfgs.size(), 6));
 
-    PerfParams on;
-    on.gemmMode = GemmMode::CYCLE_SIM;
-    on.cacheTileSimGemms = true;
-    PerfParams off = on;
-    off.cacheTileSimGemms = false;
+    PerfParams params;
+    params.gemmMode = GemmMode::CYCLE_SIM;
+    const dse::DesignEvaluator evaluator(w.model, w.setting, w.system,
+                                         params);
 
-    const auto cached =
-        dse::DesignEvaluator(w.model, w.setting, w.system, on)
-            .evaluateAll(cfgs);
-    const auto plain =
-        dse::DesignEvaluator(w.model, w.setting, w.system, off)
-            .evaluateAll(cfgs);
-    ASSERT_EQ(cached.size(), plain.size());
+    const auto cached = evaluator.evaluateAll(cfgs);
+    ASSERT_EQ(cached.size(), cfgs.size());
     for (std::size_t i = 0; i < cached.size(); ++i) {
-        EXPECT_EQ(cached[i].ttftS, plain[i].ttftS) << i;
-        EXPECT_EQ(cached[i].tbtS, plain[i].tbtS) << i;
+        const dse::EvaluatedDesign plain = evaluator.evaluate(cfgs[i]);
+        EXPECT_EQ(cached[i].ttftS, plain.ttftS) << i;
+        EXPECT_EQ(cached[i].tbtS, plain.tbtS) << i;
     }
 }
 

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -19,6 +18,7 @@
 #include "dse/analysis.hh"
 #include "dse/evaluate.hh"
 #include "dse/sweep.hh"
+#include "exhaustive.hh"
 #include "hw/presets.hh"
 #include "perf/gemm_cache.hh"
 
@@ -412,7 +412,7 @@ TEST(SweepIntegration, Table3SweepEvaluatesCleanly)
     }
 }
 
-// ---- streaming pipeline ----------------------------------------------------
+// ---- plan enumeration and whole-plan evaluation ---------------------------
 
 TEST(SweepPlan, PointMatchesGenerate)
 {
@@ -494,9 +494,9 @@ TEST(SweepSpace, ForEachMatchesGenerate)
 
 TEST(Streaming, MatchesMaterializedPipelineExactly)
 {
-    // The acceptance bar: evaluateStream over the Table 5 space must
-    // reproduce evaluateAll + filters + argmins bit-for-bit at every
-    // thread count.
+    // Streaming a whole plan through evaluatePlanIndices (the SoA
+    // path) must reproduce evaluateAll + filters + argmins
+    // bit-for-bit at every thread count.
     const DesignEvaluator evaluator = makeEvaluator();
     const SweepSpace space = table5Space();
     const auto designs = evaluator.evaluateAll(space.generate());
@@ -507,17 +507,18 @@ TEST(Streaming, MatchesMaterializedPipelineExactly)
     const EvaluatedDesign &best_tbt = minTbt(designs);
 
     for (unsigned threads : {1u, 2u, 8u}) {
-        const StreamStats stats =
-            evaluator.evaluateStream(space, nullptr, nullptr, threads);
-        EXPECT_EQ(stats.evaluated, designs.size()) << threads;
-        EXPECT_EQ(stats.kept, designs.size()) << threads;
-        EXPECT_EQ(stats.underReticle, n_reticle) << threads;
-        EXPECT_EQ(stats.oct2023Unregulated, n_unreg) << threads;
-        ASSERT_TRUE(stats.bestTtft && stats.bestTbt) << threads;
-        EXPECT_EQ(stats.bestTtft->config.name, best_ttft.config.name);
-        EXPECT_EQ(stats.bestTtft->ttftS, best_ttft.ttftS) << threads;
-        EXPECT_EQ(stats.bestTbt->config.name, best_tbt.config.name);
-        EXPECT_EQ(stats.bestTbt->tbtS, best_tbt.tbtS) << threads;
+        const Exhaustive ex =
+            evaluateExhaustive(evaluator, space, nullptr, threads);
+        ASSERT_EQ(ex.samples.size(), designs.size()) << threads;
+        EXPECT_EQ(ex.kept, designs.size()) << threads;
+        EXPECT_EQ(ex.underReticle, n_reticle) << threads;
+        EXPECT_EQ(ex.oct2023Unregulated, n_unreg) << threads;
+        ASSERT_TRUE(ex.bestTtft && ex.bestTbt) << threads;
+        EXPECT_EQ(designs[*ex.bestTtft].config.name, best_ttft.config.name);
+        EXPECT_EQ(ex.samples[*ex.bestTtft].ttftS, best_ttft.ttftS)
+            << threads;
+        EXPECT_EQ(designs[*ex.bestTbt].config.name, best_tbt.config.name);
+        EXPECT_EQ(ex.samples[*ex.bestTbt].tbtS, best_tbt.tbtS) << threads;
     }
 }
 
@@ -525,45 +526,24 @@ TEST(Streaming, PredicateMatchesFilteredArgmin)
 {
     const DesignEvaluator evaluator = makeEvaluator();
     const SweepSpace space = table5Space();
-    const auto kept = filterReticle(evaluator.evaluateAll(
-        space.generate()));
+    const auto designs = evaluator.evaluateAll(space.generate());
+    const auto kept = filterReticle(designs);
     ASSERT_FALSE(kept.empty());
     const EvaluatedDesign &best_ttft = minTtft(kept);
 
     for (unsigned threads : {1u, 2u, 8u}) {
-        const StreamStats stats = evaluator.evaluateStream(
-            space,
+        const Exhaustive ex = evaluateExhaustive(
+            evaluator, space,
             [](const EvaluatedDesign &d) { return d.underReticle; },
-            nullptr, threads);
-        EXPECT_EQ(stats.evaluated, space.size()) << threads;
-        EXPECT_EQ(stats.kept, kept.size()) << threads;
-        EXPECT_EQ(stats.underReticle, kept.size()) << threads;
-        ASSERT_TRUE(stats.bestTtft) << threads;
-        EXPECT_EQ(stats.bestTtft->config.name, best_ttft.config.name);
-        EXPECT_EQ(stats.bestTtft->ttftS, best_ttft.ttftS) << threads;
+            threads);
+        EXPECT_EQ(ex.samples.size(), space.size()) << threads;
+        EXPECT_EQ(ex.kept, kept.size()) << threads;
+        EXPECT_EQ(ex.underReticle, kept.size()) << threads;
+        ASSERT_TRUE(ex.bestTtft) << threads;
+        EXPECT_EQ(designs[*ex.bestTtft].config.name, best_ttft.config.name);
+        EXPECT_EQ(ex.samples[*ex.bestTtft].ttftS, best_ttft.ttftS)
+            << threads;
     }
-}
-
-TEST(Streaming, VisitorSeesEveryKeptDesign)
-{
-    const DesignEvaluator evaluator = makeEvaluator();
-    SweepSpace space = table3Space(4800.0, {600.0 * units::GBPS});
-    space.l1BytesPerCore = {192.0 * units::KIB};
-    space.l2Bytes = {32.0 * units::MIB};
-
-    std::mutex mu;
-    std::set<std::size_t> indices;
-    const StreamStats stats = evaluator.evaluateStream(
-        space, nullptr,
-        [&](const EvaluatedDesign &, std::size_t i) {
-            const std::lock_guard<std::mutex> lock(mu);
-            indices.insert(i);
-        });
-    EXPECT_EQ(indices.size(), stats.kept);
-    EXPECT_EQ(stats.kept, space.size());
-    // Indices cover exactly [0, size).
-    EXPECT_EQ(*indices.begin(), 0u);
-    EXPECT_EQ(*indices.rbegin(), space.size() - 1);
 }
 
 TEST(Streaming, EmptyKeptSetHasNoArgmin)
@@ -573,12 +553,12 @@ TEST(Streaming, EmptyKeptSetHasNoArgmin)
     space.l1BytesPerCore = {192.0 * units::KIB};
     space.l2Bytes = {32.0 * units::MIB};
     space.memBandwidths = {2.0 * units::TBPS};
-    const StreamStats stats = evaluator.evaluateStream(
-        space, [](const EvaluatedDesign &) { return false; });
-    EXPECT_EQ(stats.evaluated, space.size());
-    EXPECT_EQ(stats.kept, 0u);
-    EXPECT_FALSE(stats.bestTtft);
-    EXPECT_FALSE(stats.bestTbt);
+    const Exhaustive ex = evaluateExhaustive(
+        evaluator, space, [](const EvaluatedDesign &) { return false; });
+    EXPECT_EQ(ex.samples.size(), space.size());
+    EXPECT_EQ(ex.kept, 0u);
+    EXPECT_FALSE(ex.bestTtft);
+    EXPECT_FALSE(ex.bestTbt);
 }
 
 TEST(Filters, RvalueOverloadsMatchLvalue)
@@ -716,42 +696,40 @@ tinyTileSimSpace()
 
 TEST(GemmCacheSweep, CacheOnOffBitIdenticalAcrossEntryPoints)
 {
+    // Every batch entry point hoists a sweep-scoped cache under
+    // TILE_SIM; evaluate(), one design at a time, never does. The
+    // hoisted runs must match it bit for bit.
     const core::Workload w = smallWorkload();
-    perf::PerfParams on;
-    on.gemmMode = perf::GemmMode::TILE_SIM;
-    ASSERT_TRUE(on.cacheTileSimGemms); // hoisted cache is the default
-    perf::PerfParams off = on;
-    off.cacheTileSimGemms = false;
-    const DesignEvaluator cached(w.model, w.setting, w.system, on);
-    const DesignEvaluator plain(w.model, w.setting, w.system, off);
+    perf::PerfParams params;
+    params.gemmMode = perf::GemmMode::TILE_SIM;
+    const DesignEvaluator evaluator(w.model, w.setting, w.system, params);
 
     const SweepSpace space = tinyTileSimSpace();
     const auto cfgs = space.generate();
-    const auto a = cached.evaluateAll(cfgs);
-    const auto b = plain.evaluateAll(cfgs);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].ttftS, b[i].ttftS) << i;
-        EXPECT_EQ(a[i].tbtS, b[i].tbtS) << i;
-        EXPECT_EQ(a[i].config.name, b[i].config.name) << i;
-    }
+    std::vector<EvaluatedDesign> plain;
+    for (const hw::HardwareConfig &cfg : cfgs)
+        plain.push_back(evaluator.evaluate(cfg));
 
-    const auto c = cached.evaluateAllParallel(cfgs, 4);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].ttftS, c[i].ttftS) << i;
-        EXPECT_EQ(a[i].tbtS, c[i].tbtS) << i;
+    const auto a = evaluator.evaluateAll(cfgs);
+    const auto c = evaluator.evaluateAllParallel(cfgs, 4);
+    ASSERT_EQ(a.size(), plain.size());
+    ASSERT_EQ(c.size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+        EXPECT_EQ(a[i].ttftS, plain[i].ttftS) << i;
+        EXPECT_EQ(a[i].tbtS, plain[i].tbtS) << i;
+        EXPECT_EQ(a[i].config.name, plain[i].config.name) << i;
+        EXPECT_EQ(c[i].ttftS, plain[i].ttftS) << i;
+        EXPECT_EQ(c[i].tbtS, plain[i].tbtS) << i;
     }
 
     for (unsigned threads : {1u, 4u}) {
-        const StreamStats son =
-            cached.evaluateStream(space, nullptr, nullptr, threads);
-        const StreamStats soff =
-            plain.evaluateStream(space, nullptr, nullptr, threads);
-        ASSERT_TRUE(son.bestTtft && soff.bestTtft) << threads;
-        EXPECT_EQ(son.bestTtft->ttftS, soff.bestTtft->ttftS) << threads;
-        EXPECT_EQ(son.bestTbt->tbtS, soff.bestTbt->tbtS) << threads;
-        EXPECT_EQ(son.bestTtft->config.name,
-                  soff.bestTtft->config.name) << threads;
+        const Exhaustive ex =
+            evaluateExhaustive(evaluator, space, nullptr, threads);
+        ASSERT_EQ(ex.samples.size(), plain.size()) << threads;
+        for (std::size_t i = 0; i < plain.size(); ++i) {
+            EXPECT_EQ(ex.samples[i].ttftS, plain[i].ttftS) << i;
+            EXPECT_EQ(ex.samples[i].tbtS, plain[i].tbtS) << i;
+        }
     }
 }
 

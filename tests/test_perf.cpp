@@ -497,42 +497,80 @@ TEST(LayerResult, MfuValidation)
 
 // ---- op-shape memoization ---------------------------------------------------
 
+/** One op timed by a fresh model: the memo's miss path, never a hit. */
+OpTiming
+freshTiming(const hw::HardwareConfig &cfg, const PerfParams &params,
+            const model::Op &op, int tensor_parallel)
+{
+    OpTiming t;
+    switch (op.kind) {
+      case model::OpKind::MATMUL: {
+        const MatmulTiming m = MatmulModel(cfg, params).time(op);
+        t.latencyS = m.totalS;
+        t.bound = m.bound;
+        t.utilization = m.utilization;
+        break;
+      }
+      case model::OpKind::VECTOR: {
+        const VectorTiming v = VectorModel(cfg, params).time(op);
+        t.latencyS = v.totalS;
+        t.bound = v.bound;
+        break;
+      }
+      case model::OpKind::ALLREDUCE:
+        t.latencyS = CommModel(cfg, params).time(op, tensor_parallel).totalS;
+        t.bound = Bound::INTERCONNECT;
+        break;
+    }
+    return t;
+}
+
+/**
+ * Memoized timings must be byte-for-byte what re-timing would
+ * produce: every op of a run — memo hit or miss — equals a fresh
+ * model's timing of that op, and the layer sums fold those in graph
+ * order.
+ */
+void
+expectMemoMatchesFreshModels(const model::TransformerConfig &m,
+                             const PerfParams &params, int tp)
+{
+    const hw::HardwareConfig cfg = hw::modeledA100();
+    const model::InferenceSetting setting;
+    const InferenceResult r =
+        InferenceSimulator(cfg, params).run(m, setting, SystemConfig{tp});
+    const struct
+    {
+        const LayerResult &layer;
+        model::LayerGraph graph;
+        double latencyS;
+    } phases[] = {
+        {r.prefill, model::buildPrefillGraph(m, setting, tp), r.ttftS},
+        {r.decode, model::buildDecodeGraph(m, setting, tp), r.tbtS},
+    };
+    for (const auto &phase : phases) {
+        ASSERT_EQ(phase.layer.ops.size(), phase.graph.ops.size());
+        double sum = 0.0;
+        for (std::size_t i = 0; i < phase.graph.ops.size(); ++i) {
+            const OpTiming fresh =
+                freshTiming(cfg, params, phase.graph.ops[i], tp);
+            const OpTiming &got = phase.layer.ops[i];
+            EXPECT_EQ(got.latencyS, fresh.latencyS)
+                << m.name << " op " << phase.graph.ops[i].name;
+            EXPECT_EQ(got.bound, fresh.bound) << m.name << " op " << i;
+            EXPECT_EQ(got.utilization, fresh.utilization)
+                << m.name << " op " << i;
+            sum += fresh.latencyS;
+        }
+        EXPECT_EQ(phase.latencyS, sum) << m.name;
+    }
+}
+
 TEST(OpShapeMemo, MemoOnOffBitIdentical)
 {
-    // Memoized timings must be byte-for-byte what re-timing would
-    // produce: identical shapes reuse the stored result, so the run's
-    // doubles cannot drift.
     for (const model::TransformerConfig &m :
-         {model::gpt3_175b(), model::llama3_8b()}) {
-        PerfParams on;
-        on.memoizeOps = true;
-        PerfParams off;
-        off.memoizeOps = false;
-        const InferenceSimulator sim_on(hw::modeledA100(), on);
-        const InferenceSimulator sim_off(hw::modeledA100(), off);
-        const model::InferenceSetting setting;
-        const SystemConfig sys{4};
-        const InferenceResult a = sim_on.run(m, setting, sys);
-        const InferenceResult b = sim_off.run(m, setting, sys);
-        EXPECT_EQ(a.ttftS, b.ttftS) << m.name;
-        EXPECT_EQ(a.tbtS, b.tbtS) << m.name;
-        EXPECT_EQ(a.ttftFullModelS, b.ttftFullModelS) << m.name;
-        EXPECT_EQ(a.tbtFullModelS, b.tbtFullModelS) << m.name;
-        EXPECT_EQ(a.fitsMemory, b.fitsMemory) << m.name;
-        ASSERT_EQ(a.prefill.ops.size(), b.prefill.ops.size());
-        for (std::size_t i = 0; i < a.prefill.ops.size(); ++i) {
-            EXPECT_EQ(a.prefill.ops[i].latencyS,
-                      b.prefill.ops[i].latencyS)
-                << m.name << " prefill op " << i;
-            EXPECT_EQ(a.prefill.ops[i].bound, b.prefill.ops[i].bound);
-        }
-        ASSERT_EQ(a.decode.ops.size(), b.decode.ops.size());
-        for (std::size_t i = 0; i < a.decode.ops.size(); ++i) {
-            EXPECT_EQ(a.decode.ops[i].latencyS,
-                      b.decode.ops[i].latencyS)
-                << m.name << " decode op " << i;
-        }
-    }
+         {model::gpt3_175b(), model::llama3_8b()})
+        expectMemoMatchesFreshModels(m, PerfParams{}, 4);
 }
 
 // ---- TILE_SIM GEMM mode -----------------------------------------------------
@@ -559,42 +597,33 @@ TEST(GemmMode, TileSimMemoOnOffBitIdentical)
     // Memoization must stay bit-exact when the memoized timings come
     // from the wave simulator instead of the closed form — TILE_SIM
     // sweeps lean on the memo to amortize the per-shape schedule.
-    PerfParams on;
-    on.gemmMode = GemmMode::TILE_SIM;
-    on.memoizeOps = true;
-    PerfParams off = on;
-    off.memoizeOps = false;
-    const model::TransformerConfig m = model::llama3_8b();
-    const model::InferenceSetting setting;
-    const SystemConfig sys{1};
-    const InferenceResult a =
-        InferenceSimulator(hw::modeledA100(), on).run(m, setting, sys);
-    const InferenceResult b =
-        InferenceSimulator(hw::modeledA100(), off).run(m, setting, sys);
-    EXPECT_EQ(a.ttftS, b.ttftS);
-    EXPECT_EQ(a.tbtS, b.tbtS);
-    EXPECT_EQ(a.ttftFullModelS, b.ttftFullModelS);
-    EXPECT_EQ(a.tbtFullModelS, b.tbtFullModelS);
+    PerfParams params;
+    params.gemmMode = GemmMode::TILE_SIM;
+    expectMemoMatchesFreshModels(model::llama3_8b(), params, 1);
 }
 
-TEST(GemmMode, TileSimEnginesAgreeThroughSimulator)
+TEST(GemmMode, TileSimMatchesTileWalkThroughSimulator)
 {
-    // End to end through the layer simulator, the aggregated engine
-    // and the legacy walk must be interchangeable.
-    PerfParams fast;
-    fast.gemmMode = GemmMode::TILE_SIM;
-    fast.tileSimEngine = TileSimEngine::AGGREGATED;
-    PerfParams ref = fast;
-    ref.tileSimEngine = TileSimEngine::LEGACY_WALK;
+    // End to end through the layer simulator, every GEMM's latency
+    // must equal the per-tile reference walk's.
+    PerfParams params;
+    params.gemmMode = GemmMode::TILE_SIM;
+    const hw::HardwareConfig cfg = hw::modeledA100();
     const model::TransformerConfig m = model::llama3_8b();
     const model::InferenceSetting setting;
-    const SystemConfig sys{1};
-    const InferenceResult a =
-        InferenceSimulator(hw::modeledA100(), fast).run(m, setting, sys);
-    const InferenceResult b =
-        InferenceSimulator(hw::modeledA100(), ref).run(m, setting, sys);
-    EXPECT_EQ(a.ttftS, b.ttftS);
-    EXPECT_EQ(a.tbtS, b.tbtS);
+    const InferenceSimulator sim(cfg, params);
+    for (const model::LayerGraph &g :
+         {model::buildPrefillGraph(m, setting, 1),
+          model::buildDecodeGraph(m, setting, 1)}) {
+        const LayerResult r = sim.simulateLayer(g, 1);
+        for (std::size_t i = 0; i < g.ops.size(); ++i) {
+            if (g.ops[i].kind != model::OpKind::MATMUL)
+                continue;
+            EXPECT_EQ(r.ops[i].latencyS,
+                      simulateGemmTileWalk(cfg, g.ops[i], params).totalS)
+                << g.ops[i].name;
+        }
+    }
 }
 
 TEST(GemmMode, FlagParsingRoundTrips)
@@ -666,7 +695,6 @@ TEST(GemmCache, HitReturnsIdenticalBitsAndTallies)
     PerfParams params;
     params.gemmMode = GemmMode::TILE_SIM;
     params.gemmCache = &cache;
-    params.memoizeOps = false; // isolate the cross-design cache
     const MatmulModel m(hw::modeledA100(), params);
     const model::Op op = weightGemm(2048, 4096, 4096);
 
@@ -719,7 +747,6 @@ TEST(GemmCache, KeyIgnoresInterconnectFields)
     // original populated, bit-exactly.
     GemmCache cache;
     params.gemmCache = &cache;
-    params.memoizeOps = false;
     const MatmulTiming ta = MatmulModel(a, params).time(op);
     const MatmulTiming tb = MatmulModel(b, params).time(op);
     EXPECT_EQ(ta.totalS, tb.totalS);
@@ -777,11 +804,10 @@ TEST(GemmCache, ParamsFingerprintSeparatesTimingConstants)
     PerfParams b = a;
     b.memEfficiency = a.memEfficiency * 0.5;
     PerfParams c = a;
-    c.tileSimEngine = TileSimEngine::LEGACY_WALK;
+    c.gemmMode = GemmMode::CYCLE_SIM;
     EXPECT_NE(fingerprintGemmParams(a), fingerprintGemmParams(b));
-    // Engine choice is timing-invariant (proved bit-identical by
-    // tests/test_gemm_property.cpp) but fingerprinted anyway so a
-    // shared cache never mixes engines within one sweep.
+    // The mode keys entries too: TILE_SIM and CYCLE_SIM timings of
+    // one (device, op) projection must never alias.
     EXPECT_NE(fingerprintGemmParams(a), fingerprintGemmParams(c));
 
     const model::Op op = weightGemm(2048, 4096, 4096);

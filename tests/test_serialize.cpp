@@ -151,6 +151,23 @@ TEST(HwSerialize, InvalidLoadedConfigIsFatal)
         FatalError);
 }
 
+TEST(HwSerialize, UnknownKeysAreFatal)
+{
+    // Misspelled keys must not evaluate silently as the template A100.
+    try {
+        hw::configFromKeyVal(KeyVal::parse("corez = 8\nlaness = 4\n"));
+        FAIL() << "accepted unknown keys";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'corez'"),
+                  std::string::npos)
+            << e.what();
+    }
+    // One unknown key among known ones is still fatal.
+    EXPECT_THROW(hw::configFromKeyVal(
+                     KeyVal::parse("core_count = 96\nlaness = 4\n")),
+                 FatalError);
+}
+
 TEST(HwSerialize, ProcessNames)
 {
     EXPECT_EQ(hw::processFromString("7nm"), hw::ProcessNode::N7);

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <iomanip>
+#include <set>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -81,24 +82,33 @@ TEST(EventQueue, PanicMessagesNameTheOffendingValue)
 }
 
 /**
- * The calendar engine's contract: bit-identical pop order to the
- * reference heap for any schedule. Randomized interleaved push/pop
- * with duplicate times, near-future clusters, and far-future
- * outliers (the think-time shape that forces the one-lap scan into
- * its global-minimum fallback), plus mid-stream reserve() calls that
- * force re-bucketing.
+ * The queue's contract: pop order is exactly (time, seq) for any
+ * schedule. Randomized interleaved push/pop with duplicate times
+ * (FIFO ties), near-future clusters and far-future outliers, checked
+ * against an oracle written here: a std::set ordered by (time, seq).
  */
-TEST(EventQueue, CalendarMatchesHeapOnRandomSchedules)
+TEST(EventQueue, HeapMatchesOracleOnRandomSchedules)
 {
+    struct Pending
+    {
+        double timeS;
+        std::uint64_t seq;
+        EventKind kind;
+        std::uint64_t payload;
+        bool operator<(const Pending &o) const
+        {
+            return timeS != o.timeS ? timeS < o.timeS : seq < o.seq;
+        }
+    };
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        EventQueue cal(QueueEngine::CALENDAR);
-        EventQueue heap(QueueEngine::LEGACY_HEAP);
+        EventQueue queue;
+        std::set<Pending> oracle;
         Rng rng(seed);
         double now = 0.0;
-        std::uint64_t payload = 0;
+        std::uint64_t pushed = 0;
         for (int step = 0; step < 4000; ++step) {
             const double action = rng.uniform();
-            if (action < 0.6 || cal.empty()) {
+            if (action < 0.6 || oracle.empty()) {
                 const double shape = rng.uniform();
                 double when = now;
                 if (shape < 0.2) {
@@ -110,29 +120,28 @@ TEST(EventQueue, CalendarMatchesHeapOnRandomSchedules)
                 }
                 const auto kind = static_cast<EventKind>(
                     rng.below(3)); // ARRIVAL..CLIENT_WAKE
-                cal.push(when, kind, payload);
-                heap.push(when, kind, payload);
-                ++payload;
+                queue.push(when, kind, pushed);
+                oracle.insert({when, pushed, kind, pushed});
+                ++pushed;
             } else {
-                const Event a = cal.pop();
-                const Event b = heap.pop();
-                ASSERT_EQ(a.timeS, b.timeS);
-                ASSERT_EQ(a.seq, b.seq);
-                ASSERT_EQ(a.kind, b.kind);
-                ASSERT_EQ(a.payload, b.payload);
-                now = a.timeS;
+                const Pending want = *oracle.begin();
+                oracle.erase(oracle.begin());
+                ASSERT_EQ(queue.peek().seq, want.seq);
+                const Event got = queue.pop();
+                ASSERT_EQ(got.timeS, want.timeS);
+                ASSERT_EQ(got.seq, want.seq);
+                ASSERT_EQ(got.kind, want.kind);
+                ASSERT_EQ(got.payload, want.payload);
+                now = got.timeS;
             }
-            if (step % 512 == 0)
-                cal.reserve(cal.size() + 64); // force a rebuild
+            ASSERT_EQ(queue.size(), oracle.size());
         }
-        ASSERT_EQ(cal.size(), heap.size());
-        while (!cal.empty()) {
-            const Event a = cal.pop();
-            const Event b = heap.pop();
-            ASSERT_EQ(a.timeS, b.timeS);
-            ASSERT_EQ(a.seq, b.seq);
+        for (const Pending &want : oracle) {
+            const Event got = queue.pop();
+            ASSERT_EQ(got.timeS, want.timeS);
+            ASSERT_EQ(got.seq, want.seq);
         }
-        EXPECT_TRUE(heap.empty());
+        EXPECT_TRUE(queue.empty());
     }
 }
 
@@ -141,7 +150,7 @@ TEST(EventQueue, ReserveKeepsContentsAndOrder)
     EventQueue q;
     for (std::uint64_t i = 0; i < 32; ++i)
         q.push(32.0 - static_cast<double>(i), EventKind::ARRIVAL, i);
-    q.reserve(1024); // rebuild with 32 events pending
+    q.reserve(1024); // regrow with 32 events pending
     EXPECT_EQ(q.size(), 32u);
     double last = 0.0;
     while (!q.empty()) {
@@ -277,27 +286,27 @@ TEST(CostModel, LatencyGrowsWithBatchAndLength)
     EXPECT_LT(cost.decodeStepS(1), cost.decodeStepS(32));
 }
 
-TEST(CostModel, FlatMemoMatchesLegacyMapBitExactly)
+TEST(CostModel, MemoHitsMatchFreshModelBitExactly)
 {
+    // Every lookup on one long-lived model — most of them memo hits —
+    // must return exactly the bits a fresh model computes on a miss.
     const core::Workload w = testWorkload();
-    const IterationCostModel flat = testCost(w); // FLAT default
-    const IterationCostModel legacy(hw::modeledA100(), w.model,
-                                    w.setting, w.system,
-                                    perf::PerfParams{},
-                                    MemoEngine::LEGACY_MAP);
+    const IterationCostModel memo = testCost(w);
+    std::set<std::pair<int, int>> prefill_keys;
+    std::set<int> decode_keys;
     Rng rng(99);
     for (int i = 0; i < 120; ++i) {
         const int batch = 1 + static_cast<int>(rng.below(8));
         const int len =
             64 * (1 + static_cast<int>(rng.below(8)));
-        // Exact equality: both engines memoize the identical
-        // computed bits, hit or miss.
-        EXPECT_EQ(flat.prefillS(batch, len),
-                  legacy.prefillS(batch, len));
-        EXPECT_EQ(flat.decodeStepS(batch),
-                  legacy.decodeStepS(batch));
+        EXPECT_EQ(memo.prefillS(batch, len),
+                  testCost(w).prefillS(batch, len));
+        EXPECT_EQ(memo.decodeStepS(batch), testCost(w).decodeStepS(batch));
+        prefill_keys.insert({batch, len});
+        decode_keys.insert(batch);
     }
-    EXPECT_EQ(flat.memoMisses(), legacy.memoMisses());
+    // One miss per distinct key: the rest were hits.
+    EXPECT_EQ(memo.memoMisses(), prefill_keys.size() + decode_keys.size());
 }
 
 /**
@@ -524,30 +533,6 @@ TEST(Determinism, SameSeedSameBytes)
     EXPECT_NE(a, c);
 }
 
-TEST(Determinism, QueueEngineDoesNotChangeReplicaBytes)
-{
-    const core::Workload w = testWorkload();
-    const IterationCostModel cost = testCost(w);
-    const ReplicaConfig cal = openLoopConfig(2.0, 19);
-    ReplicaConfig heap = cal;
-    heap.scheduler.queueEngine = QueueEngine::LEGACY_HEAP;
-    EXPECT_EQ(fingerprint(simulateReplica(cost, cal)),
-              fingerprint(simulateReplica(cost, heap)));
-}
-
-TEST(Determinism, MemoEngineDoesNotChangeReplicaBytes)
-{
-    const core::Workload w = testWorkload();
-    const IterationCostModel flat = testCost(w);
-    const IterationCostModel legacy(hw::modeledA100(), w.model,
-                                    w.setting, w.system,
-                                    perf::PerfParams{},
-                                    MemoEngine::LEGACY_MAP);
-    const ReplicaConfig rc = openLoopConfig(2.0, 23);
-    EXPECT_EQ(fingerprint(simulateReplica(flat, rc)),
-              fingerprint(simulateReplica(legacy, rc)));
-}
-
 TEST(Determinism, RecordingOffPreservesCountsAndHistograms)
 {
     const core::Workload w = testWorkload();
@@ -586,15 +571,44 @@ TEST(Determinism, RecordingOffPreservesCountsAndHistograms)
                 0.02 * a.ttft().p99S);
     EXPECT_NEAR(b.tbtHist.percentileS(99.0), a.tbt().p99S,
                 0.02 * a.tbt().p99S);
+
+    // Without records there is nothing to judge an SLO by: each
+    // verdict is an error naming the switch, never a silent pass.
+    const SloTargets slo;
+    const auto expectFatalNaming = [](const auto &call,
+                                      const std::string &flag) {
+        try {
+            call();
+            ADD_FAILURE() << "no error naming " << flag;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+                << e.what();
+        }
+    };
+    ASSERT_GT(b.completed, 0u);
+    expectFatalNaming([&] { b.meetsSlo(slo); }, "recordRequests");
+    expectFatalNaming([&] { b.attainment(slo); }, "recordRequests");
+    expectFatalNaming([&] { b.goodputTokensPerS(slo); }, "recordRequests");
+    ReplicaConfig gaps_off = on;
+    gaps_off.recordTbtGaps = false;
+    const ReplicaMetrics c = simulateReplica(cost, gaps_off);
+    expectFatalNaming([&] { c.meetsSlo(slo); }, "recordTbtGaps");
+    EXPECT_EQ(c.attainment(slo), a.attainment(slo));
+
+    // A run that completed nothing keeps its answers.
+    const ReplicaMetrics idle;
+    EXPECT_TRUE(idle.meetsSlo(slo));
+    EXPECT_EQ(idle.attainment(slo), 1.0);
+    EXPECT_EQ(idle.goodputTokensPerS(slo), 0.0);
 }
 
 /**
  * The unit the parallel scenario-grid benches fan out over: one
- * servingPointAt cell must be byte-identical across both queue
- * engines and both memo engines (the ext_serving_sim regression at
- * unit scale).
+ * servingPointAt cell must be byte-identical whether its cost model
+ * is fresh (every lookup a miss) or warmed by other cells (the
+ * ext_serving_sim regression at unit scale).
  */
-TEST(Determinism, ServingPointIsEngineIndependent)
+TEST(Determinism, ServingPointIsMemoStateIndependent)
 {
     const core::SanctionsStudy study;
     const core::Workload w = testWorkload();
@@ -603,13 +617,9 @@ TEST(Determinism, ServingPointIsEngineIndependent)
     cfg.outputLen = LengthDistribution::uniform(32, 96, 16);
     cfg.horizonS = 150.0;
     cfg.seed = 77;
-    core::ServingStudyConfig legacy_cfg = cfg;
-    legacy_cfg.scheduler.queueEngine = QueueEngine::LEGACY_HEAP;
 
-    const IterationCostModel flat =
+    const IterationCostModel warm =
         study.makeCostModel(hw::modeledA100(), w);
-    const IterationCostModel map = study.makeCostModel(
-        hw::modeledA100(), w, MemoEngine::LEGACY_MAP);
 
     const auto serialize = [](const core::ServingStudyPoint &p) {
         std::ostringstream os;
@@ -620,13 +630,13 @@ TEST(Determinism, ServingPointIsEngineIndependent)
            << p.completed << ',' << p.maxQueueDepth;
         return os.str();
     };
-    for (double rate : {0.5, 2.0}) {
-        const std::string fast =
-            serialize(core::servingPointAt(flat, cfg, rate));
-        EXPECT_EQ(fast, serialize(core::servingPointAt(
-                            map, legacy_cfg, rate)));
-        EXPECT_EQ(fast, serialize(core::servingPointAt(
-                            flat, legacy_cfg, rate)));
+    for (double rate : {2.0, 0.5}) {
+        const std::string shared =
+            serialize(core::servingPointAt(warm, cfg, rate));
+        const IterationCostModel fresh =
+            study.makeCostModel(hw::modeledA100(), w);
+        EXPECT_EQ(shared,
+                  serialize(core::servingPointAt(fresh, cfg, rate)));
     }
 }
 

@@ -183,10 +183,8 @@ TEST(TileSim, RemainderEdgeWaveScheduling)
     // The final wave is partial here.
     EXPECT_LT(trace.waves.back().tilesInWave, arrays);
 
-    // And the aggregated engine matches the legacy walk on it.
-    PerfParams legacy;
-    legacy.tileSimEngine = TileSimEngine::LEGACY_WALK;
-    const GemmTrace ref = simulateGemm(cfg, op, legacy);
+    // And the aggregated engine matches the per-tile walk on it.
+    const GemmTrace ref = simulateGemmTileWalk(cfg, op);
     ASSERT_EQ(ref.waves.size(), trace.waves.size());
     EXPECT_EQ(ref.totalS, trace.totalS);
     for (std::size_t w = 0; w < trace.waves.size(); ++w) {
@@ -231,14 +229,11 @@ TEST(TileSim, UniformWavesShareOneSignature)
 TEST(TileSim, SummaryMatchesTraceBitwise)
 {
     const auto op = weightGemm(209, 353, 512, 20);
-    for (const TileSimEngine engine :
-         {TileSimEngine::AGGREGATED, TileSimEngine::LEGACY_WALK}) {
-        PerfParams params;
-        params.tileSimEngine = engine;
-        const GemmTrace trace =
-            simulateGemm(hw::modeledA100(), op, params);
-        const GemmSummary summary =
-            simulateGemmSummary(hw::modeledA100(), op, params);
+    const GemmSummary summary =
+        simulateGemmSummary(hw::modeledA100(), op);
+    for (const GemmTrace &trace :
+         {simulateGemm(hw::modeledA100(), op),
+          simulateGemmTileWalk(hw::modeledA100(), op)}) {
         EXPECT_EQ(summary.tileM, trace.tileM);
         EXPECT_EQ(summary.tileN, trace.tileN);
         EXPECT_EQ(summary.waves,

@@ -139,6 +139,16 @@ parseNumber(const std::string &what, const std::string &text)
     return value;
 }
 
+/** parseNumber<double>, also fatal (naming the argument) below zero. */
+double
+parseNonNegative(const std::string &what, const std::string &text)
+{
+    const double value = parseNumber<double>(what, text);
+    if (value < 0.0)
+        fatal(what + ": '" + text + "' must be non-negative");
+    return value;
+}
+
 hw::HardwareConfig
 loadConfig(const std::string &path)
 {
@@ -157,10 +167,10 @@ cmdClassify(const std::vector<std::string> &args)
         return usage();
     policy::DeviceSpec spec;
     spec.name = "cli-device";
-    spec.tpp = parseNumber<double>("classify <tpp>", args[0]);
+    spec.tpp = parseNonNegative("classify <tpp>", args[0]);
     spec.deviceBandwidthGBps =
-        parseNumber<double>("classify <devbw_gbps>", args[1]);
-    spec.dieAreaMm2 = parseNumber<double>("classify <area_mm2>", args[2]);
+        parseNonNegative("classify <devbw_gbps>", args[1]);
+    spec.dieAreaMm2 = parseNonNegative("classify <area_mm2>", args[2]);
     spec.market = args.size() > 3 && args[3] == "consumer"
                       ? policy::MarketSegment::CONSUMER
                       : policy::MarketSegment::DATA_CENTER;
