@@ -32,7 +32,7 @@ EXPECTED = {
     "analytic-dse.dse.adaptive.waves": 714,
     "analytic-dse.coevo.best_responses": 94,
     "fleet-size.sim.fleet.probes": 10,
-    "fleet-size.sim.replica.runs": 174,
+    "fleet-size.sim.replica.runs": 203,
     "fleet-size.sim.cluster.events": 19805142,
 }
 

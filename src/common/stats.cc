@@ -9,20 +9,25 @@
 
 namespace acs {
 
-namespace {
+PercentileRank
+percentileRank(std::size_t n, double q)
+{
+    fatalIf(n == 0, "percentile() requires a non-empty sample");
+    fatalIf(q < 0.0 || q > 100.0, "percentile rank must be in [0, 100]");
+    const double rank = q / 100.0 * static_cast<double>(n - 1);
+    PercentileRank r;
+    r.lo = static_cast<std::size_t>(std::floor(rank));
+    r.hi = static_cast<std::size_t>(std::ceil(rank));
+    r.frac = rank - static_cast<double>(r.lo);
+    return r;
+}
 
-// Percentile of an already-sorted sample via linear interpolation.
 double
 sortedPercentile(const std::vector<double> &sorted, double q)
 {
-    const double rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(rank));
-    const auto hi = static_cast<std::size_t>(std::ceil(rank));
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+    const PercentileRank r = percentileRank(sorted.size(), q);
+    return r.blend(sorted[r.lo], sorted[r.hi]);
 }
-
-} // anonymous namespace
 
 SummaryStats
 summarize(const std::vector<double> &samples)
@@ -63,12 +68,17 @@ narrowingFactor(const SummaryStats &baseline, const SummaryStats &constrained)
 }
 
 double
-percentile(std::vector<double> samples, double q)
+percentile(const std::vector<double> &samples, double q)
 {
-    fatalIf(samples.empty(), "percentile() requires a non-empty sample");
-    fatalIf(q < 0.0 || q > 100.0, "percentile rank must be in [0, 100]");
-    std::sort(samples.begin(), samples.end());
-    return sortedPercentile(samples, q);
+    const PercentileRank r = percentileRank(samples.size(), q);
+    // x[lo] lands in place with everything after it no smaller, so
+    // x[hi] (hi is lo or lo + 1) is the least of that upper part.
+    std::vector<double> work = samples;
+    const auto lo = work.begin() + static_cast<std::ptrdiff_t>(r.lo);
+    std::nth_element(work.begin(), lo, work.end());
+    const double xhi =
+        r.hi == r.lo ? *lo : *std::min_element(lo + 1, work.end());
+    return r.blend(*lo, xhi);
 }
 
 } // namespace acs

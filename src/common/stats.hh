@@ -62,12 +62,52 @@ double narrowingFactor(const SummaryStats &baseline,
                        const SummaryStats &constrained);
 
 /**
+ * The two order statistics a q-th percentile interpolates between.
+ *
+ * With rank = q/100 * (n - 1), the percentile is the 0-based order
+ * statistics lo = floor(rank) and hi = ceil(rank) blended as
+ * x[lo] + frac * (x[hi] - x[lo]). Every exact percentile here and the
+ * histogram query in sim/metrics take their ranks from this one
+ * helper, so they can never pick different order statistics.
+ */
+struct PercentileRank
+{
+    std::size_t lo = 0; //!< floor(rank)
+    std::size_t hi = 0; //!< ceil(rank)
+    double frac = 0.0;  //!< rank - lo, the weight of x[hi]
+
+    /** The interpolated percentile of order statistics @p xlo, @p xhi. */
+    double
+    blend(double xlo, double xhi) const
+    {
+        return xlo + frac * (xhi - xlo);
+    }
+};
+
+/**
+ * Ranks of the q-th percentile of @p n samples.
+ *
+ * @param n Sample count, >= 1.
+ * @param q Percentile rank in [0, 100]; fatal outside the range.
+ */
+PercentileRank percentileRank(std::size_t n, double q);
+
+/**
+ * Interpolated percentile of an ascending-sorted, non-empty sample:
+ * the same value percentile() returns on any permutation of it.
+ */
+double sortedPercentile(const std::vector<double> &sorted, double q);
+
+/**
  * Interpolated percentile of a sample (q in [0, 100]).
+ *
+ * Selects the two order statistics (nth_element on one copy) instead
+ * of sorting the whole sample.
  *
  * @param samples Non-empty sample values.
  * @param q       Percentile rank in [0, 100]; fatal outside the range.
  */
-double percentile(std::vector<double> samples, double q);
+double percentile(const std::vector<double> &samples, double q);
 
 } // namespace acs
 

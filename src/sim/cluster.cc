@@ -94,14 +94,12 @@ ClusterMetrics::tbtPercentileS(double pct) const
 bool
 ClusterMetrics::meetsSlo(const SloTargets &slo) const
 {
-    slo.validate();
-    if (completedRequests == 0)
-        return true;
-    if (ttftPercentileS(slo.percentile) > slo.ttftMaxS)
-        return false;
-    if (tbtHist.count == 0)
-        return true;
-    return tbtPercentileS(slo.percentile) <= slo.tbtMaxS;
+    // The member histograms merged into the aggregate hold exactly
+    // the cluster's samples.
+    if (const std::optional<bool> verdict =
+            aggregate.sloVerdictFromHistograms(slo))
+        return *verdict;
+    return aggregate.meetsSlo(slo);
 }
 
 double

@@ -177,7 +177,13 @@ struct ClusterMetrics
     /** TBT percentile with the same exact-or-histogram fallback. */
     double tbtPercentileS(double pct) const;
 
-    /** Whether the run's percentiles meet @p slo. */
+    /**
+     * Whether the run's exact percentiles meet @p slo: decided from
+     * the streaming histograms when they settle it
+     * (ReplicaMetrics::sloVerdictFromHistograms), from the records
+     * otherwise. Fatal, naming recordRequests or recordTbtGaps, when
+     * neither can decide.
+     */
     bool meetsSlo(const SloTargets &slo) const;
 
     /** Fraction of completed requests meeting both SLO bounds. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -22,10 +23,17 @@ FleetDemand::validate() const
     outputLen.validate();
 }
 
+namespace {
+
+/**
+ * simulateFleet with both record switches set to @p record. Off, the
+ * merged metrics keep only counters and histograms: enough for
+ * sloVerdictFromHistograms, at a fraction of the time and memory.
+ */
 ReplicaMetrics
-simulateFleet(const IterationCostModel &cost,
-              const FleetDemand &demand, const SchedulerConfig &sched,
-              int replicas, common::ThreadPool *pool)
+runFleet(const IterationCostModel &cost, const FleetDemand &demand,
+         const SchedulerConfig &sched, int replicas,
+         common::ThreadPool *pool, bool record)
 {
     demand.validate();
     sched.validate();
@@ -33,6 +41,8 @@ simulateFleet(const IterationCostModel &cost,
 
     ReplicaConfig base;
     base.scheduler = sched;
+    base.recordRequests = record;
+    base.recordTbtGaps = record;
     base.workload.closedLoopClients = 0;
     base.workload.arrivalRatePerS = demand.ratePerS / replicas;
     base.workload.promptLen = demand.promptLen;
@@ -54,10 +64,32 @@ simulateFleet(const IterationCostModel &cost,
         },
         1);
 
+    // Size the records once, and free each slot as it is merged, so
+    // the merge never holds more than one copy of them plus a slot.
+    std::size_t requests = 0;
+    std::size_t gaps = 0;
+    for (const ReplicaMetrics &m : slots) {
+        requests += m.requests.size();
+        gaps += m.tbtGapsS.size();
+    }
     ReplicaMetrics aggregate = std::move(slots.front());
-    for (std::size_t i = 1; i < slots.size(); ++i)
+    aggregate.requests.reserve(requests);
+    aggregate.tbtGapsS.reserve(gaps);
+    for (std::size_t i = 1; i < slots.size(); ++i) {
         aggregate.merge(slots[i]);
+        slots[i] = ReplicaMetrics();
+    }
     return aggregate;
+}
+
+} // anonymous namespace
+
+ReplicaMetrics
+simulateFleet(const IterationCostModel &cost,
+              const FleetDemand &demand, const SchedulerConfig &sched,
+              int replicas, common::ThreadPool *pool)
+{
+    return runFleet(cost, demand, sched, replicas, pool, true);
 }
 
 FleetSizingResult
@@ -74,15 +106,16 @@ sizeFleet(const IterationCostModel &cost, const FleetDemand &demand,
 
     FleetSizingResult result;
 
-    // Probe one size, remembering the best (smallest) feasible
-    // aggregate seen so the chosen size never re-simulates. The
-    // verdict memo guarantees every size simulates at most once no
-    // matter how the bracket and the binary search revisit it. It is
-    // a flat array indexed by replica count — the domain is exactly
-    // [1, max_replicas], so a byte per size beats a node-allocating
-    // tree: 0 = unknown, 1 = feasible, 2 = infeasible.
+    // Probe one size without recording: the streaming histograms
+    // settle meetsSlo's exact verdict unless a percentile's order
+    // statistics share its bound's bucket, and only then does the
+    // size run again with recording. The verdict memo guarantees
+    // every size is probed at most once no matter how the bracket and
+    // the binary search revisit it. It is a flat array indexed by
+    // replica count — the domain is exactly [1, max_replicas], so a
+    // byte per size beats a node-allocating tree: 0 = unknown,
+    // 1 = feasible, 2 = infeasible.
     int best = 0;
-    ReplicaMetrics best_metrics;
     std::vector<signed char> verdicts(
         static_cast<std::size_t>(max_replicas) + 1, 0);
     const auto feasible = [&](int replicas) {
@@ -90,16 +123,18 @@ sizeFleet(const IterationCostModel &cost, const FleetDemand &demand,
             verdicts[static_cast<std::size_t>(replicas)];
         if (seen != 0)
             return seen == 1;
-        ReplicaMetrics m =
-            simulateFleet(cost, demand, sched, replicas, pool);
+        const std::optional<bool> decided =
+            runFleet(cost, demand, sched, replicas, pool, false)
+                .sloVerdictFromHistograms(slo);
         ++result.probes;
         obs::counterAdd("sim.fleet.probes");
-        const bool ok = m.meetsSlo(slo);
+        const bool ok =
+            decided ? *decided
+                    : simulateFleet(cost, demand, sched, replicas, pool)
+                          .meetsSlo(slo);
         seen = ok ? 1 : 2;
-        if (ok && (best == 0 || replicas < best)) {
+        if (ok && (best == 0 || replicas < best))
             best = replicas;
-            best_metrics = std::move(m);
-        }
         return ok;
     };
 
@@ -126,7 +161,7 @@ sizeFleet(const IterationCostModel &cost, const FleetDemand &demand,
     result.replicas = best;
     result.devices =
         static_cast<long>(best) * cost.system().tensorParallel;
-    result.aggregate = std::move(best_metrics);
+    result.aggregate = simulateFleet(cost, demand, sched, best, pool);
     return result;
 }
 
@@ -176,8 +211,23 @@ sizeDisaggFleet(const DisaggPoolSpec &prefill,
     base.routing = routing;
     base.slo = slo;
 
-    // Every (P, D) pair simulates at most once, fed by a fresh
-    // Poisson trace from the same seed so probes are comparable.
+    // Each simulation replays a fresh Poisson trace from the same
+    // seed, so probes are comparable.
+    const auto simulate = [&](int p, int d, bool record) {
+        ClusterConfig cfg = base;
+        cfg.pools[0].replicas = p;
+        cfg.pools[1].replicas = d;
+        cfg.recordRequests = record;
+        cfg.recordTbtGaps = record;
+        const auto trace = TraceWorkload::poisson(
+            demand.ratePerS, demand.promptLen, demand.outputLen,
+            demand.horizonS, demand.seed);
+        return simulateCluster(cfg, *trace);
+    };
+
+    // Every (P, D) pair is probed at most once, without recording: a
+    // verdict the streaming histograms leave open re-runs the pair
+    // with recording for the exact one (as sizeFleet does).
     // Flat-hashed on the packed (P, D) key: both searches revisit
     // pairs a handful of times, and reserving up front keeps the
     // memo rehash-free.
@@ -190,24 +240,23 @@ sizeDisaggFleet(const DisaggPoolSpec &prefill,
         const auto it = probes.find(key);
         if (it != probes.end())
             return it->second;
-        ClusterConfig cfg = base;
-        cfg.pools[0].replicas = p;
-        cfg.pools[1].replicas = d;
-        const auto trace = TraceWorkload::poisson(
-            demand.ratePerS, demand.promptLen, demand.outputLen,
-            demand.horizonS, demand.seed);
         ++plan.probes;
         obs::counterAdd("sim.disagg.probes");
-        return probes
-            .emplace(key, simulateCluster(cfg, *trace))
-            .first->second;
+        return probes.emplace(key, simulate(p, d, false)).first->second;
     };
 
     // Phase 1: TTFT depends only on the prefill pool (decode never
     // backpressures it), so size it alone with the decode pool
     // pinned at one replica.
     const auto ttft_ok = [&](int p) {
-        return probe(p, 1).ttftPercentileS(slo.percentile) <=
+        const ClusterMetrics &m = probe(p, 1);
+        if (m.completedRequests == 0)
+            return true;
+        if (const std::optional<bool> decided =
+                m.ttftHist.percentileAtMost(slo.percentile,
+                                            slo.ttftMaxS))
+            return *decided;
+        return simulate(p, 1, true).ttftPercentileS(slo.percentile) <=
                slo.ttftMaxS;
     };
     int lo = 1;
@@ -230,7 +279,11 @@ sizeDisaggFleet(const DisaggPoolSpec &prefill,
     // Phase 2: with the prefill pool fixed, the decode pool size
     // only moves the TBT tail — the second monotone search.
     const auto slo_ok = [&](int d) {
-        return probe(best_prefill, d).meetsSlo(slo);
+        if (const std::optional<bool> decided =
+                probe(best_prefill, d)
+                    .aggregate.sloVerdictFromHistograms(slo))
+            return *decided;
+        return simulate(best_prefill, d, true).meetsSlo(slo);
     };
     lo = 1;
     hi = 1;
@@ -257,7 +310,7 @@ sizeDisaggFleet(const DisaggPoolSpec &prefill,
             prefill.cost->system().tensorParallel +
         static_cast<long>(best_decode) *
             decode.cost->system().tensorParallel;
-    plan.aggregate = probe(best_prefill, best_decode);
+    plan.aggregate = simulate(best_prefill, best_decode, true);
     return plan;
 }
 

@@ -52,11 +52,13 @@ struct FleetSizingResult
     bool feasible = false; //!< an SLO-meeting size was found
     int replicas = 0;      //!< smallest SLO-meeting replica count
     long devices = 0;      //!< replicas x tensorParallel
-    int probes = 0;        //!< fleet sizes simulated by the search
+    int probes = 0;        //!< fleet sizes probed by the search
 
     /**
-     * Merged metrics of all replicas at the chosen size (replica-
-     * index merge order, so identical regardless of thread count).
+     * Merged metrics of all replicas at the chosen size, records
+     * included: simulateFleet(replicas), run once more after the
+     * search (replica-index merge order, so identical regardless of
+     * thread count).
      */
     ReplicaMetrics aggregate;
 };
@@ -73,6 +75,13 @@ struct FleetSizingResult
  * @p pool; per-replica results land in index-addressed slots and
  * merge in index order, so the result is byte-identical for any
  * worker count (tests/test_sim.cpp asserts this).
+ *
+ * Probes run with recording off. Each is judged by
+ * ReplicaMetrics::sloVerdictFromHistograms, which gives meetsSlo()'s
+ * exact verdict whenever it decides; a probe it leaves open runs
+ * again with recording and meetsSlo() judges that run. Neither re-run
+ * counts in result.probes. The chosen size runs once more with
+ * recording for result.aggregate.
  *
  * @param cost          Iteration latency/memory oracle of the design.
  * @param demand        Aggregate offered load.
@@ -121,7 +130,7 @@ struct DisaggFleetPlan
     int prefillReplicas = 0; //!< smallest TTFT-meeting prefill pool
     int decodeReplicas = 0;  //!< smallest TBT-meeting decode pool
     long devices = 0;        //!< sum of replicas x tensorParallel
-    int probes = 0;          //!< cluster simulations performed
+    int probes = 0;          //!< (P, D) pairs probed by the search
 
     /** Cluster metrics at the chosen (prefill, decode) sizes. */
     ClusterMetrics aggregate;
@@ -138,8 +147,15 @@ struct DisaggFleetPlan
  * pinned at 1), then sizes the decode pool against the full SLO with
  * the prefill pool fixed — two independent monotone searches instead
  * of a joint grid, each a geometric bracket + binary search with
- * per-phase probe memoization (every (P, D) pair simulates at most
+ * per-phase probe memoization (every (P, D) pair is probed at most
  * once).
+ *
+ * As in sizeFleet, probes run with recording off and the streaming
+ * histograms give the exact verdict when they decide it (phase 1 via
+ * LatencyHistogram::percentileAtMost on the TTFT bound alone, phase 2
+ * via ReplicaMetrics::sloVerdictFromHistograms); an undecided pair
+ * runs again with recording, and the chosen pair runs once more with
+ * recording for plan.aggregate.
  *
  * Each probe replays a fresh Poisson trace built from @p demand
  * (same seed, so probes are comparable and the search is

@@ -23,9 +23,11 @@ LatencyRollup::fromSamples(const std::vector<double> &samples)
         r.maxS = std::max(r.maxS, s);
     }
     r.meanS = total / samples.size();
-    r.p50S = percentile(samples, 50.0);
-    r.p95S = percentile(samples, 95.0);
-    r.p99S = percentile(samples, 99.0);
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    r.p50S = sortedPercentile(sorted, 50.0);
+    r.p95S = sortedPercentile(sorted, 95.0);
+    r.p99S = sortedPercentile(sorted, 99.0);
     return r;
 }
 
@@ -145,6 +147,49 @@ LatencyHistogram::percentileS(double pct) const
     return maxS;
 }
 
+std::optional<bool>
+LatencyHistogram::percentileAtMost(double q, double bound) const
+{
+    fatalIf(q < 0.0 || q > 100.0,
+            "LatencyHistogram: percentile must be in [0, 100]");
+    fatalIf(!std::isfinite(bound),
+            "LatencyHistogram: percentile bound must be finite");
+    if (count == 0)
+        return std::nullopt;
+    // Bucket order is value order except in bucket 0, which holds
+    // every non-positive value, and in the clamped edge octaves
+    // (frexp exponent -64 and 64), which mix many octaves' values
+    // that their mantissas no longer sort.
+    constexpr std::size_t kLowEdgeEnd = 1 + kSubBuckets;
+    constexpr std::size_t kHighEdgeBegin = 1 + 128 * kSubBuckets;
+    // Samples in buckets under the bound's are below its lower edge,
+    // so at most the bound; samples in buckets over it exceed it.
+    const std::size_t at = latencyBucket(bound);
+    std::uint64_t below = 0;
+    std::uint64_t above = 0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+        if (buckets[i] == 0)
+            continue;
+        if (i < kLowEdgeEnd || i >= kHighEdgeBegin)
+            return std::nullopt;
+        if (i < at)
+            below += buckets[i];
+        else if (i > at)
+            above += buckets[i];
+    }
+    const PercentileRank r = percentileRank(count, q);
+    // percentile() blends x[lo] and x[hi] into a value never below
+    // x[lo] and at most one ulp above x[hi]. An x[hi] under the
+    // bound's bucket is below that bucket's lower edge, a double no
+    // greater than the bound, so the blend meets the bound; an x[lo]
+    // over it exceeds the bound, and so does the blend.
+    if (r.hi < below)
+        return true;
+    if (r.lo >= count - above)
+        return false;
+    return std::nullopt;
+}
+
 void
 SloTargets::validate() const
 {
@@ -224,6 +269,27 @@ ReplicaMetrics::goodputTokensPerS(const SloTargets &slo) const
             tokens += r.outputLen;
     }
     return tokens / lastEventS;
+}
+
+std::optional<bool>
+ReplicaMetrics::sloVerdictFromHistograms(const SloTargets &slo) const
+{
+    slo.validate();
+    if (completed == 0)
+        return true;
+    const std::optional<bool> ttft =
+        ttftHist.percentileAtMost(slo.percentile, slo.ttftMaxS);
+    const std::optional<bool> tbt =
+        tbtHist.count == 0
+            ? std::optional<bool>(true)
+            : tbtHist.percentileAtMost(slo.percentile, slo.tbtMaxS);
+    // Both bounds must hold: one decided miss settles the verdict,
+    // and it meets only when both are decided (hence both met).
+    if (ttft == false || tbt == false)
+        return false;
+    if (ttft && tbt)
+        return true;
+    return std::nullopt;
 }
 
 bool

@@ -16,6 +16,7 @@
 #define ACS_SIM_METRICS_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace acs {
@@ -90,6 +91,13 @@ struct QueueDepthHistogram
  * decode gap of a multi-million-request run in a vector — and merge
  * is a commutative bucket-wise sum, preserving the index-order
  * aggregation contract.
+ *
+ * Bucket order is value order (outside bucket 0 and the clamped edge
+ * octaves), so beside the approximate percentileS() the counts also
+ * answer "is the exact percentile at most this bound?" exactly,
+ * unless the percentile's order statistics share the bound's bucket
+ * (percentileAtMost()). That is how fleet sizing judges a probe
+ * without recording its samples.
  */
 struct LatencyHistogram
 {
@@ -122,6 +130,20 @@ struct LatencyHistogram
      * order statistic.
      */
     double percentileS(double pct) const;
+
+    /**
+     * Exact three-way answer to "percentile(samples, q) <= bound?"
+     * over the recorded samples, where percentile() is common/stats'
+     * interpolated order statistic. With lo and hi the order
+     * statistics it blends (percentileRank), the answer is true when
+     * x[hi] lies in a bucket under the bound's, false when x[lo] lies
+     * in a bucket over it, and nullopt when the counts cannot tell:
+     * the histogram is empty, an order statistic shares the bound's
+     * bucket, or bucket 0 or a clamped edge octave (frexp exponent
+     * -64 or 64) holds a sample. Fatal unless q is in [0, 100] and
+     * @p bound is finite.
+     */
+    std::optional<bool> percentileAtMost(double q, double bound) const;
 
     /** Mean of recorded samples (0 when empty). */
     double meanS() const { return count ? sumS / count : 0.0; }
@@ -197,11 +219,24 @@ struct ReplicaMetrics
     double goodputTokensPerS(const SloTargets &slo) const;
 
     /**
-     * Whether the run's percentiles meet @p slo. Fatal when requests
-     * completed but none was recorded, or when decode gaps occurred
-     * but none was recorded (recordTbtGaps off).
+     * Whether the run's percentiles meet @p slo, exactly: the
+     * percentiles are common/stats' percentile() over the recorded
+     * TTFTs and decode gaps. Fatal when requests completed but none
+     * was recorded, or when decode gaps occurred but none was
+     * recorded (recordTbtGaps off). sloVerdictFromHistograms() gives
+     * the same answer without records whenever it decides.
      */
     bool meetsSlo(const SloTargets &slo) const;
+
+    /**
+     * meetsSlo()'s verdict from the streaming histograms alone, which
+     * every run fills whatever its record switches: the same bool
+     * whenever both bounds are decided by
+     * LatencyHistogram::percentileAtMost() or one is decided missed,
+     * nullopt otherwise. A run with no completions meets.
+     */
+    std::optional<bool>
+    sloVerdictFromHistograms(const SloTargets &slo) const;
 
     /**
      * Fold another replica's results in. Aggregation is a sum/concat,

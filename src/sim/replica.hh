@@ -69,12 +69,14 @@ struct ReplicaConfig
     /**
      * Keep per-request records / per-gap samples in the metrics.
      * Exact percentiles need them; trace-scale runs (millions of
-     * requests) turn them off — the counters and the streaming
-     * histograms are populated either way — to keep memory O(batch)
-     * and skip the gigabyte-scale vector growth and O(n log n)
-     * percentile sorts. attainment()/goodputTokensPerS()/meetsSlo()
-     * need recordRequests, and meetsSlo() also recordTbtGaps; they
-     * are fatal on a run that completed requests without them.
+     * requests) and sizeFleet's probes turn them off — the counters
+     * and the streaming histograms are populated either way — to
+     * keep memory O(batch) and skip the gigabyte-scale vector growth
+     * and percentile selection. attainment()/goodputTokensPerS()/
+     * meetsSlo() need recordRequests, and meetsSlo() also
+     * recordTbtGaps; they are fatal on a run that completed requests
+     * without them. sloVerdictFromHistograms() needs neither and
+     * gives meetsSlo()'s verdict whenever it decides.
      */
     bool recordRequests = true;
     bool recordTbtGaps = true;

@@ -16,11 +16,17 @@
 
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
+#include "common/stats.hh"
 #include "common/thread_pool.hh"
 #include "core/study.hh"
 #include "hw/presets.hh"
@@ -550,6 +556,85 @@ TEST(Histogram, MergeEqualsCombinedRecording)
     EXPECT_EQ(a.buckets, all.buckets);
 }
 
+/**
+ * The histogram's exact query against percentile() itself, on sample
+ * sets built to sit on its decision edges: duplicates, values one ulp
+ * either side of a bucket edge, and bounds on the edges, on the
+ * samples and one ulp either side of them. Whenever the query
+ * decides, it must give percentile()'s answer.
+ */
+TEST(Histogram, PercentileAtMostMatchesExactWheneverDecided)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto edge = [](int sub, int exp) {
+        return std::ldexp(0.5 + sub / 64.0, exp);
+    };
+    const auto withNeighbours = [&](std::vector<double> values) {
+        const std::size_t n = values.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            values.push_back(std::nextafter(values[i], 0.0));
+            values.push_back(std::nextafter(values[i], inf));
+        }
+        return values;
+    };
+    const double qs[] = {0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0};
+
+    Rng rng(35);
+    std::size_t asked = 0;
+    std::size_t decided = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const int sub = static_cast<int>(rng.below(62)) + 1;
+        const int exp = static_cast<int>(rng.below(12)) - 8;
+        std::vector<double> pool = withNeighbours(
+            {edge(sub - 1, exp), edge(sub, exp), edge(sub + 1, exp)});
+        for (int i = 0; i < 4; ++i)
+            pool.push_back(rng.uniform(edge(sub - 1, exp),
+                                       edge(sub + 2, exp)));
+
+        LatencyHistogram h;
+        std::vector<double> samples(1 + rng.below(150));
+        for (double &s : samples) {
+            s = pool[rng.below(pool.size())];
+            h.record(s);
+        }
+        for (double bound : withNeighbours(pool)) {
+            for (double q : qs) {
+                ++asked;
+                const std::optional<bool> v =
+                    h.percentileAtMost(q, bound);
+                if (!v)
+                    continue;
+                ++decided;
+                EXPECT_EQ(*v, percentile(samples, q) <= bound)
+                    << std::setprecision(17) << "q=" << q
+                    << " bound=" << bound
+                    << " p=" << percentile(samples, q);
+            }
+        }
+    }
+    // The bounds crowd the samples, yet most answers are decided.
+    EXPECT_GT(decided, asked / 2);
+
+    // Bucket 0 (non-positive values) and the clamped edge octaves do
+    // not order their samples by value: any sample there leaves every
+    // answer open.
+    for (double odd : {0.0, -1e-3, std::ldexp(0.75, -64), 1e-30,
+                       std::ldexp(0.75, 64), 1e30}) {
+        LatencyHistogram h;
+        for (double s : {0.01, 0.02, 0.03, odd})
+            h.record(s);
+        for (double bound : {1e-40, 0.015, 0.025, 1e40})
+            for (double q : qs)
+                EXPECT_FALSE(h.percentileAtMost(q, bound).has_value())
+                    << "sample " << odd << " bound " << bound;
+    }
+
+    LatencyHistogram empty;
+    EXPECT_FALSE(empty.percentileAtMost(50.0, 1.0).has_value());
+    EXPECT_THROW(empty.percentileAtMost(100.5, 1.0), FatalError);
+    EXPECT_THROW(empty.percentileAtMost(50.0, inf), FatalError);
+}
+
 TEST(Cluster, HistogramPercentilesTrackExactWhenRecordsOff)
 {
     const core::Workload w = testWorkload();
@@ -581,7 +666,94 @@ TEST(Cluster, HistogramPercentilesTrackExactWhenRecordsOff)
     }
 }
 
+/**
+ * One simulation, one verdict: meetsSlo on an unrecorded run used to
+ * compare the approximate histogram percentile with the bound, so
+ * near the bound it contradicted the recorded run of the same
+ * config. It now decides from the bucket counts where they settle
+ * the exact answer and is an error naming the switch where they
+ * cannot.
+ */
+TEST(Cluster, UnrecordedMeetsSloNeverContradictsRecordedRun)
+{
+    const core::Workload w = testWorkload();
+    const IterationCostModel cost = testCost(w);
+    ClusterConfig cfg;
+    cfg.pools.resize(1);
+    cfg.pools[0].name = "a100";
+    cfg.pools[0].cost = &cost;
+
+    auto recorded_trace = mixedFleetTrace();
+    const ClusterMetrics recorded = simulateCluster(cfg, *recorded_trace);
+    cfg.recordTbtGaps = false;
+    auto gapless_trace = mixedFleetTrace();
+    const ClusterMetrics gapless = simulateCluster(cfg, *gapless_trace);
+    cfg.recordRequests = false;
+    auto unrecorded_trace = mixedFleetTrace();
+    const ClusterMetrics unrecorded =
+        simulateCluster(cfg, *unrecorded_trace);
+
+    const auto expectFatalNaming = [](const ClusterMetrics &m,
+                                      const SloTargets &slo,
+                                      const std::string &flag) {
+        try {
+            m.meetsSlo(slo);
+            ADD_FAILURE() << "no error naming " << flag;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+                << e.what();
+        }
+    };
+
+    // p99 bound between the histogram's estimate (below it) and the
+    // exact p99 (above it): the recorded run misses. The error names
+    // the first switch that is off.
+    SloTargets slo;
+    slo.tbtMaxS = 0.031010815;
+    EXPECT_FALSE(recorded.meetsSlo(slo));
+    EXPECT_FALSE(
+        unrecorded.aggregate.sloVerdictFromHistograms(slo).has_value());
+    expectFatalNaming(unrecorded, slo, "recordRequests");
+    expectFatalNaming(gapless, slo, "recordTbtGaps");
+
+    // p50 and p90 bounds between the exact percentile (below) and
+    // the estimate (above): the recorded run meets.
+    for (double pct : {50.0, 90.0}) {
+        slo.percentile = pct;
+        slo.tbtMaxS = 0.5 * (recorded.tbtPercentileS(pct) +
+                             unrecorded.tbtPercentileS(pct));
+        ASSERT_LT(recorded.tbtPercentileS(pct), slo.tbtMaxS);
+        ASSERT_GT(unrecorded.tbtPercentileS(pct), slo.tbtMaxS);
+        EXPECT_TRUE(recorded.meetsSlo(slo)) << "p" << pct;
+        expectFatalNaming(unrecorded, slo, "recordRequests");
+        expectFatalNaming(gapless, slo, "recordTbtGaps");
+    }
+
+    // Away from the tail the buckets decide, and both runs agree.
+    for (double scale : {0.5, 2.0}) {
+        slo.percentile = 99.0;
+        slo.tbtMaxS = scale * recorded.tbtPercentileS(99.0);
+        ASSERT_TRUE(
+            unrecorded.aggregate.sloVerdictFromHistograms(slo).has_value());
+        EXPECT_EQ(unrecorded.meetsSlo(slo), recorded.meetsSlo(slo));
+        EXPECT_EQ(gapless.meetsSlo(slo), recorded.meetsSlo(slo));
+        EXPECT_EQ(unrecorded.meetsSlo(slo), scale > 1.0);
+    }
+}
+
 // ---- two-pool sizing -------------------------------------------------------
+
+FleetDemand
+disaggDemand()
+{
+    FleetDemand demand;
+    demand.ratePerS = 2.0;
+    demand.promptLen = LengthDistribution::fixed(512);
+    demand.outputLen = LengthDistribution::fixed(64);
+    demand.horizonS = 120.0;
+    demand.seed = 5;
+    return demand;
+}
 
 TEST(DisaggFleet, SizesBothPoolsAgainstSlo)
 {
@@ -593,12 +765,7 @@ TEST(DisaggFleet, SizesBothPoolsAgainstSlo)
     prefill.hourlyCostUsdPerReplica = 8.0;
     DisaggPoolSpec decode = prefill;
 
-    FleetDemand demand;
-    demand.ratePerS = 2.0;
-    demand.promptLen = LengthDistribution::fixed(512);
-    demand.outputLen = LengthDistribution::fixed(64);
-    demand.horizonS = 120.0;
-    demand.seed = 5;
+    const FleetDemand demand = disaggDemand();
 
     SloTargets slo;
     slo.ttftMaxS = 5.0;
@@ -619,6 +786,53 @@ TEST(DisaggFleet, SizesBothPoolsAgainstSlo)
     EXPECT_DOUBLE_EQ(plan.aggregate.fleetHourlyUsd,
                      8.0 * (plan.prefillReplicas +
                             plan.decodeReplicas));
+}
+
+TEST(DisaggFleet, UndecidedProbesFallBackToRecordedVerdicts)
+{
+    const core::Workload w = testWorkload();
+    const IterationCostModel cost = testCost(w);
+    DisaggPoolSpec pool;
+    pool.cost = &cost;
+    const FleetDemand demand = disaggDemand();
+
+    // The search's first probe, one replica per pool, run recorded.
+    ClusterConfig cfg;
+    cfg.pools.resize(2);
+    cfg.pools[0].role = PoolRole::PREFILL;
+    cfg.pools[0].cost = &cost;
+    cfg.pools[1].role = PoolRole::DECODE;
+    cfg.pools[1].cost = &cost;
+    const auto trace = TraceWorkload::poisson(
+        demand.ratePerS, demand.promptLen, demand.outputLen,
+        demand.horizonS, demand.seed);
+    const ClusterMetrics one = simulateCluster(cfg, *trace);
+    const double ttft = one.ttftPercentileS(99.0);
+    const double tbt = one.tbtPercentileS(99.0);
+
+    // Bounds at (1, 1)'s exact p99s share a bucket with the order
+    // statistics they are judged by: neither phase can decide them
+    // from the histograms, so each re-runs the pair recorded.
+    const auto size = [&](double ttft_max, double tbt_max) {
+        SloTargets slo;
+        slo.ttftMaxS = ttft_max;
+        slo.tbtMaxS = tbt_max;
+        EXPECT_FALSE(
+            one.aggregate.sloVerdictFromHistograms(slo).has_value());
+        const DisaggFleetPlan plan = sizeDisaggFleet(
+            pool, pool, KvTransferConfig{}, demand, slo);
+        EXPECT_TRUE(plan.feasible);
+        // The plan's metrics come from a recorded run.
+        EXPECT_EQ(plan.aggregate.aggregate.requests.size(),
+                  plan.aggregate.completedRequests);
+        return std::make_pair(plan.prefillReplicas,
+                              plan.decodeReplicas);
+    };
+    // (1, 1) meets both bounds; one ulp below either it misses, and
+    // one more replica in that phase's pool meets it.
+    EXPECT_EQ(size(ttft, tbt), std::make_pair(1, 1));
+    EXPECT_EQ(size(std::nextafter(ttft, 0.0), 1.0), std::make_pair(2, 1));
+    EXPECT_EQ(size(1.0, std::nextafter(tbt, 0.0)), std::make_pair(1, 2));
 }
 
 } // namespace

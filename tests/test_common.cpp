@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "common/flat_memo.hh"
 #include "common/logging.hh"
@@ -151,6 +153,41 @@ TEST(Stats, PercentileValidatesRank)
     EXPECT_THROW(percentile({1.0}, -1.0), FatalError);
     EXPECT_THROW(percentile({1.0}, 101.0), FatalError);
     EXPECT_THROW(percentile({}, 50.0), FatalError);
+}
+
+/**
+ * percentile() selects its two order statistics instead of sorting;
+ * it must return the bits of the plain sort-and-interpolate reference
+ * on samples full of duplicates, and sortedPercentile() must too.
+ */
+TEST(Stats, PercentileSelectionMatchesSortReference)
+{
+    Rng rng(2024);
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t n = 1 + rng.below(300);
+        // A few distinct grid values (most samples duplicate one) mixed
+        // with arbitrary doubles.
+        const std::uint64_t distinct = 1 + rng.below(n / 4 + 1);
+        std::vector<double> samples(n);
+        for (double &x : samples)
+            x = rng.below(3) == 0
+                    ? rng.uniform(-5.0, 5.0)
+                    : 0.37 * static_cast<double>(rng.below(distinct)) - 2.0;
+        std::vector<double> sorted = samples;
+        std::sort(sorted.begin(), sorted.end());
+        for (double q : {0.0, 1.0, 50.0, 99.0, 100.0}) {
+            const double rank = q / 100.0 * static_cast<double>(n - 1);
+            const auto lo = static_cast<std::size_t>(std::floor(rank));
+            const auto hi = static_cast<std::size_t>(std::ceil(rank));
+            const double want =
+                sorted[lo] + (rank - static_cast<double>(lo)) *
+                                 (sorted[hi] - sorted[lo]);
+            EXPECT_EQ(percentile(samples, q), want)
+                << "n=" << n << " q=" << q;
+            EXPECT_EQ(sortedPercentile(sorted, q), want)
+                << "n=" << n << " q=" << q;
+        }
+    }
 }
 
 TEST(Stats, NarrowingFactorBasic)

@@ -878,12 +878,55 @@ TEST(Fleet, SizingReturnsCachedProbeIdenticalToResimulation)
         sizeFleet(cost, demand, sched, slo, 64);
     ASSERT_TRUE(r.feasible);
 
-    // The search memoizes per-size verdicts, so the aggregate it
-    // hands back must be the probe's own result — byte-identical to
-    // simulating the chosen size from scratch.
+    // Probes run unrecorded, so the aggregate the search hands back
+    // is a recorded re-simulation of the chosen size: byte-identical
+    // to simulating that size from scratch.
     EXPECT_EQ(fingerprint(r.aggregate),
               fingerprint(
                   simulateFleet(cost, demand, sched, r.replicas)));
+}
+
+TEST(Fleet, UndecidedProbeFallsBackToRecordedVerdict)
+{
+    const core::Workload w = testWorkload();
+    const IterationCostModel cost = testCost(w);
+    FleetDemand demand;
+    demand.ratePerS = 3.0;
+    demand.promptLen = LengthDistribution::uniform(256, 768, 64);
+    demand.outputLen = LengthDistribution::uniform(32, 96, 16);
+    demand.horizonS = 150.0;
+    demand.seed = 13;
+    const SchedulerConfig sched;
+
+    // TBT bounds at three replicas' exact p99 and one ulp below it
+    // share a bucket with the order statistics they are judged by:
+    // the histograms cannot decide either at that size, so sizeFleet
+    // must re-run it recorded. Three replicas meet the first bound
+    // and miss the second; four meet both.
+    const ReplicaMetrics three = simulateFleet(cost, demand, sched, 3);
+    const double p99 = three.tbt().p99S;
+    for (double bound : {p99, std::nextafter(p99, 0.0)}) {
+        SloTargets slo;
+        slo.ttftMaxS = 5.0;
+        slo.tbtMaxS = bound;
+        ASSERT_FALSE(three.sloVerdictFromHistograms(slo).has_value());
+
+        // Brute force over recorded runs. The search always probes
+        // size three: it is the answer or one below it.
+        int smallest = 0;
+        for (int r = 1; smallest == 0 && r <= 8; ++r)
+            if (simulateFleet(cost, demand, sched, r).meetsSlo(slo))
+                smallest = r;
+        ASSERT_EQ(smallest, bound == p99 ? 3 : 4);
+
+        const FleetSizingResult sized =
+            sizeFleet(cost, demand, sched, slo, 64);
+        ASSERT_TRUE(sized.feasible);
+        EXPECT_EQ(sized.replicas, smallest);
+        EXPECT_EQ(
+            fingerprint(sized.aggregate),
+            fingerprint(simulateFleet(cost, demand, sched, smallest)));
+    }
 }
 
 // ---- study curve -----------------------------------------------------------
